@@ -43,13 +43,8 @@ def _bigram_key(pair: tuple[str, str]) -> str:
 
 
 def build_blocks(ads: list[Ad], rarity_threshold: int = 10,
-                 max_block_size: int = 200,
-                 token_cache: dict[str, tuple[set, set]] | None = None) -> BlockIndex:
-    """Index ads by rare keys.
-
-    ``token_cache`` may supply precomputed (unigram_set, bigram_set) per ad
-    id to avoid re-tokenizing; otherwise texts are tokenized here.
-    """
+                 max_block_size: int = 200) -> BlockIndex:
+    """Index ads by rare keys."""
     if rarity_threshold < 2:
         raise ValueError("rarity_threshold must be >= 2")
     if max_block_size < 2:
@@ -58,11 +53,8 @@ def build_blocks(ads: list[Ad], rarity_threshold: int = 10,
     keys_by_ad: dict[str, list[tuple[str, str]]] = {}
     df: dict[str, Counter] = {kind: Counter() for kind in KINDS}
     for ad in ads:
-        if token_cache is not None and ad.id in token_cache:
-            unigrams, bigrams = token_cache[ad.id]
-        else:
-            uni_counter, bi_counter = tokenize(ad.text)
-            unigrams, bigrams = set(uni_counter), set(bi_counter)
+        uni_counter, bi_counter = tokenize(ad.text)
+        unigrams, bigrams = set(uni_counter), set(bi_counter)
         keys = [("unigram", u) for u in unigrams]
         keys += [("bigram", _bigram_key(b)) for b in bigrams]
         keys += [("image", h) for h in ad.image_hashes]

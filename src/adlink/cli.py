@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -44,6 +45,7 @@ _PRODUCED_BY = {
     "features.csv": "features",
     "model.json": "train",
     "candidates.csv": "block",
+    "edges.csv": "sweep",
     "threshold.json": "sweep",
     "components.jsonl": "resolve",
     "cluster_features.csv": "clusters",
@@ -115,13 +117,16 @@ def _require(out: Path, *names: str) -> None:
             )
 
 
-def _record_metrics(out: Path, stage: str, seconds: float, counts: dict) -> None:
+def _record_metrics(out: Path, stage: str, seconds: float, counts: dict,
+                    stage_warnings: list[str]) -> None:
     path = out / "metrics.json"
     data = {"stages": {}}
     if path.exists():
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    data.setdefault("stages", {})[stage] = {"seconds": round(seconds, 3), "counts": counts}
+    data.setdefault("stages", {})[stage] = {
+        "seconds": round(seconds, 3), "counts": counts, "warnings": stage_warnings,
+    }
     _write_json(path, data)
 
 
@@ -369,9 +374,19 @@ def stage_block(cfg: PipelineConfig, out: Path) -> dict:
 
 
 def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
+    _require(out, "candidates.csv")
     ads = _load_ads(out)
     fieldsets = _load_fieldsets(out)
     model = _load_model(out)
+
+    # every candidate is scored here, once; resolve only applies the threshold
+    ad_id = {ad.id: ad.id for ad in ads}  # one string object per id, as blocking makes
+    pairs = [(ad_id[r[0]], ad_id[r[1]]) for r in _read_csv(out / "candidates.csv")[1]]
+    scored = resolve_mod.score_candidates(model, pairs, {ad.id: ad for ad in ads}, fieldsets)
+    # in candidate order; the dict keeps the pair tuples, and dropping the
+    # lists keeps them out of the sample sweep's peak memory
+    scores = dict(zip(pairs, [s for _, _, s in scored]))
+    del pairs, scored
     sweep = resolve_mod.threshold_sweep(
         model, ads, fieldsets,
         thresholds=cfg.resolve.thresholds,
@@ -379,7 +394,15 @@ def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
         seed=cfg.seed,
         rarity_threshold=cfg.blocking.rarity_threshold,
         max_block_size=cfg.blocking.max_block_size,
+        known_scores=scores,
     )
+    graph, _ = surrogate.build_strong_graph(
+        {ad.id: fieldsets.get(ad.id, extract.FieldSet()).phones for ad in ads}
+    )
+    _write_csv(out / "edges.csv", ["ad_i", "ad_j", "kind", "score"], itertools.chain(
+        ((i, j, "strong", 1.0) for i, j in sorted(graph.strong_pairs())),
+        ((i, j, "weak", s) for (i, j), s in scores.items()),
+    ))
     _write_csv(out / "sweep.csv", ["threshold", "n_components", "largest_size"],
                [(float(t), n, lg) for t, n, lg in sweep.rows])
     chosen = resolve_mod.select_threshold(sweep, cfg.resolve.max_largest_fraction)
@@ -388,28 +411,28 @@ def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
         "sample_size": sweep.sample_size,
         "max_largest_fraction": cfg.resolve.max_largest_fraction,
     })
-    return {"thresholds": len(sweep.rows), "selected": chosen, "sample": sweep.sample_size}
+    cap = cfg.resolve.max_largest_fraction * sweep.sample_size
+    return {"thresholds": len(sweep.rows), "selected": chosen, "sample": sweep.sample_size,
+            "fallback": all(largest > cap for _, _, largest in sweep.rows),
+            "rescored": sweep.rescored}
 
 
 def stage_resolve(cfg: PipelineConfig, out: Path) -> dict:
-    _require(out, "candidates.csv", "threshold.json")
-    ads = _load_ads(out)
-    fieldsets = _load_fieldsets(out)
-    model = _load_model(out)
+    _require(out, "edges.csv", "threshold.json")
+    ad_ids = [ad.id for ad in _load_ads(out)]
     with open(out / "threshold.json", "r", encoding="utf-8") as fh:
         threshold = float(json.load(fh)["threshold"])
 
-    _, cand_rows, _ = _read_csv(out / "candidates.csv")
-    pairs = [(r[0], r[1]) for r in cand_rows]
-    ads_by_id = {ad.id: ad for ad in ads}
-    scored = resolve_mod.score_candidates(model, pairs, ads_by_id, fieldsets)
-
-    graph, _ = surrogate.build_strong_graph(
-        {ad.id: fieldsets.get(ad.id, extract.FieldSet()).phones for ad in ads}
-    )
-    strong = graph.strong_pairs()
-    comps = resolve_mod.connected_components(strong, scored, threshold,
-                                             nodes=[ad.id for ad in ads])
+    _, edge_rows, _ = _read_csv(out / "edges.csv")
+    strong, weak = [], []
+    for i, j, kind, score in edge_rows:
+        if kind == "strong":
+            strong.append((i, j))
+        elif kind == "weak":
+            weak.append((i, j, float(score)))
+        else:
+            raise DataError(f"edges.csv: unknown edge kind {kind!r}")
+    comps = resolve_mod.connected_components(strong, weak, threshold, nodes=ad_ids)
 
     lines = []
     for comp_id in sorted(comps.members):
@@ -421,13 +444,9 @@ def stage_resolve(cfg: PipelineConfig, out: Path) -> dict:
             "weak_edges": w_edges,
         }))
     _atomic_text(out / "components.jsonl", "\n".join(lines) + "\n")
-
-    edge_rows = [(i, j, "strong", 1.0) for i, j in sorted(strong)]
-    edge_rows += [(i, j, "weak", float(s)) for i, j, s in scored]
-    _write_csv(out / "edges.csv", ["ad_i", "ad_j", "kind", "score"], edge_rows)
     return {
         "components": len(comps), "largest": comps.largest_size(),
-        "threshold": threshold, "weak_candidates": len(scored),
+        "threshold": threshold, "weak_candidates": len(weak),
         "strong_edges": len(strong),
     }
 
@@ -509,9 +528,11 @@ def _read_cluster_features(out: Path):
 def stage_rules(cfg: PipelineConfig, out: Path) -> dict:
     ids, X, y = _read_cluster_features(out)
     c = cfg.cluster
+    # stratified folds need a positive each; with fewer, use one fold per positive
+    n_folds = min(c.n_folds, max(2, int(y.sum())))
     try:
         result = clusterfeat.train_cluster_classifier(
-            X, y, n_folds=c.n_folds, n_random_baselines=c.n_random_baselines,
+            X, y, n_folds=n_folds, n_random_baselines=c.n_random_baselines,
             seed=cfg.seed, n_trees=c.n_trees, max_depth=c.max_depth, min_leaf=c.min_leaf,
         )
     except ValueError as exc:
@@ -548,7 +569,7 @@ def stage_rules(cfg: PipelineConfig, out: Path) -> dict:
     _write_csv(out / "pn.csv", ["max_rules", "step", "positives_covered", "negatives_covered"],
                pn_rows)
     return {"rules": len(rules), "cluster_auc": round(result.curve.auc, 6),
-            "baseline_auc": round(result.baseline_mean_auc, 6)}
+            "baseline_auc": round(result.baseline_mean_auc, 6), "n_folds": n_folds}
 
 
 def _pairwise_metrics(members: dict[str, list[str]], ads_by_id: dict[str, Ad]) -> dict:
@@ -674,9 +695,15 @@ def run_stage(stage: str, cfg: PipelineConfig, out: Path) -> dict:
         raise UsageError(f"unknown stage {stage!r}")
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    counts = func(cfg, out)
+    try:
+        # the stage's warnings go to metrics.json as well as to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            counts = func(cfg, out)
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     elapsed = time.perf_counter() - t0
-    _record_metrics(out, stage, elapsed, counts)
+    _record_metrics(out, stage, elapsed, counts, [str(w.message) for w in caught])
     summary = ", ".join(f"{k}={v}" for k, v in counts.items())
     print(f"[{stage}] {elapsed:.2f}s {summary}")
     return counts

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Ad
 from .extract import FieldSet
-from .matchmodel import Dataset, ForestModel, RocCurve, predict_proba, roc, train_forest, tpr_at_fpr
+from .matchmodel import Dataset, RocCurve, predict_proba, roc, train_forest
 
 __all__ = [
     "CLUSTER_FEATURE_NAMES",
@@ -151,13 +151,9 @@ def filter_components(members_by_id: dict[str, list[str]], min_size: int) -> dic
 
 @dataclass
 class ClusterClassifierResult:
-    model: ForestModel
     curve: RocCurve
-    oof_scores: np.ndarray
     baseline_aucs: list[float]
     baseline_mean_auc: float
-    baseline_fpr_grid: np.ndarray
-    baseline_mean_tpr: np.ndarray
 
 
 def train_cluster_classifier(X, y, n_folds: int = 4, n_random_baselines: int = 100,
@@ -166,8 +162,7 @@ def train_cluster_classifier(X, y, n_folds: int = 4, n_random_baselines: int = 1
     """Out-of-fold ROC for a forest on cluster features, plus a random floor.
 
     Folds are stratified; the pooled out-of-fold scores give the reported
-    curve, and the returned model is retrained on everything. The baseline
-    is the ROC of uniformly random scores, averaged over
+    curve. The baseline is the AUC of uniformly random scores, averaged over
     ``n_random_baselines`` draws.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -200,29 +195,11 @@ def train_cluster_classifier(X, y, n_folds: int = 4, n_random_baselines: int = 1
                                   min_leaf=min_leaf, seed=seed * 1000 + k)
         oof[~train_mask] = predict_proba(fold_model, X[~train_mask])
 
-    curve = roc(oof, y)
-
-    grid = np.linspace(0.0, 1.0, 101)
-    aucs = []
-    tprs = np.zeros((n_random_baselines, len(grid)))
-    for b in range(n_random_baselines):
-        random_scores = rng.random(len(y))
-        c = roc(random_scores, y)
-        aucs.append(c.auc)
-        tprs[b] = [tpr_at_fpr(c, g) for g in grid]
-
-    full = Dataset(X=X, y=y, ids=[], feature_names=CLUSTER_FEATURE_NAMES,
-                   schema_version=CLUSTER_SCHEMA_VERSION)
-    model = train_forest(full, n_trees=n_trees, max_depth=max_depth,
-                         min_leaf=min_leaf, seed=seed)
+    aucs = [roc(rng.random(len(y)), y).auc for _ in range(n_random_baselines)]
     return ClusterClassifierResult(
-        model=model,
-        curve=curve,
-        oof_scores=oof,
+        curve=roc(oof, y),
         baseline_aucs=aucs,
         baseline_mean_auc=float(np.mean(aucs)),
-        baseline_fpr_grid=grid,
-        baseline_mean_tpr=tprs.mean(axis=0),
     )
 
 

@@ -214,8 +214,6 @@ def _cost_unit(unit_text: str | None) -> str:
         return "per-hour"
     if u in _HALF_UNITS or u.startswith("30") or u.startswith("half"):
         return "per-half-hour"
-    if u.startswith("rose"):
-        return "unknown"
     return "unknown"
 
 

@@ -1,11 +1,15 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from adlink import pairfeat
+from adlink.blocking import build_blocks, candidate_pairs
 from adlink.cli import artifact_digests, main
+from adlink.clusterfeat import CLUSTER_FEATURE_NAMES, CLUSTER_SCHEMA_VERSION
 from adlink.config import load_config
-from adlink.corpus import Ad, write_corpus
+from adlink.corpus import Ad, load_corpus, write_corpus
 
 TINY_CONFIG = {
     "seed": 11,
@@ -163,3 +167,104 @@ def test_config_defaults_load():
     cfg.validate()
     assert cfg.model.kind == "forest"
     assert len(cfg.resolve.thresholds) >= 8
+
+
+# --- score once ------------------------------------------------------------------
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
+def _pipeline_counting_rows(tmp_path, monkeypatch, overrides=None):
+    """Run the pipeline; return its directory and the pair rows featurized."""
+    featurized = []
+    matrix = pairfeat.PairFeaturizer.matrix
+
+    def counting(self, pairs):
+        rows = matrix(self, pairs)
+        featurized.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(pairfeat.PairFeaturizer, "matrix", counting)
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", write_config(tmp_path, overrides),
+                "--out", str(out)]) == 0
+    return out, sum(featurized)
+
+
+def test_every_candidate_scored_once_strict_subsample(tmp_path, monkeypatch):
+    out, featurized = _pipeline_counting_rows(tmp_path, monkeypatch)
+    cfg = load_config(str(tmp_path / "config.json"))
+    candidates = {tuple(r) for r in _csv_rows(out / "candidates.csv")}
+    # re-derive the sweep sample and its blocking independently
+    ads = sorted(load_corpus(out / "ads.jsonl").ads, key=lambda a: a.id)
+    assert cfg.resolve.sweep_sample_size < len(ads)
+    sample = random.Random(cfg.seed).sample(ads, cfg.resolve.sweep_sample_size)
+    sample_cands = candidate_pairs(build_blocks(sample, cfg.blocking.rarity_threshold,
+                                                cfg.blocking.max_block_size))
+    misses = sum(1 for pair in sample_cands if pair not in candidates)
+    n_pairs = len(_csv_rows(out / "pairs.csv"))
+    assert featurized == n_pairs + len(candidates) + misses
+    metrics = json.loads((out / "metrics.json").read_text())["stages"]
+    assert metrics["sweep"]["counts"]["rescored"] == misses
+    weak = [r for r in _csv_rows(out / "edges.csv") if r[2] == "weak"]
+    assert [tuple(r[:2]) for r in weak] == [tuple(r) for r in _csv_rows(out / "candidates.csv")]
+
+
+def test_every_candidate_scored_once_whole_corpus(tmp_path, monkeypatch):
+    out, featurized = _pipeline_counting_rows(
+        tmp_path, monkeypatch, {"resolve": {"sweep_sample_size": 10_000}})
+    n_pairs = len(_csv_rows(out / "pairs.csv"))
+    n_cands = len(_csv_rows(out / "candidates.csv"))
+    assert featurized == n_pairs + n_cands
+    sweep = json.loads((out / "metrics.json").read_text())["stages"]["sweep"]
+    assert sweep["counts"]["rescored"] == 0
+    assert any("clamping" in w for w in sweep["warnings"])
+
+
+def test_resolve_needs_edges_from_sweep(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("synth", "block"):
+        assert run([stage, "--config", cfg, "--out", str(out)]) == 0
+    (out / "threshold.json").write_text(json.dumps({"threshold": 0.5}))
+    assert run(["resolve", "--config", cfg, "--out", str(out)]) == 3
+    assert "missing edges.csv: run the sweep stage first" in capsys.readouterr().err
+
+
+def test_threshold_fallback_recorded_in_metrics(tmp_path):
+    # no component can be under a cap of 0.001 * ~105 ads
+    cfg = write_config(tmp_path, {"resolve": {"max_largest_fraction": 0.001}})
+    out = tmp_path / "run"
+    for stage in ("synth", "extract", "sample", "features", "train", "block"):
+        assert run([stage, "--config", cfg, "--out", str(out)]) == 0
+    with pytest.warns(UserWarning, match="falling back"):
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    sweep = json.loads((out / "metrics.json").read_text())["stages"]["sweep"]
+    assert sweep["counts"]["fallback"] is True
+    assert any("falling back" in w for w in sweep["warnings"])
+    threshold = json.loads((out / "threshold.json").read_text())
+    assert "fallback" not in threshold
+
+
+def test_rules_with_fewer_positives_than_folds(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    rng = random.Random(0)
+    feature_rows, label_rows = [], []
+    for k in range(12):
+        label = 1 if k < 3 else 0
+        feats = [rng.random() + 2.0 * label for _ in CLUSTER_FEATURE_NAMES]
+        feature_rows.append(",".join([f"c{k:02d}", *map(repr, feats)]))
+        label_rows.append(f"c{k:02d},{label}")
+    (out / "cluster_features.csv").write_text(
+        f"# schema={CLUSTER_SCHEMA_VERSION}\n"
+        + ",".join(["component_id", *CLUSTER_FEATURE_NAMES]) + "\n"
+        + "\n".join(feature_rows) + "\n")
+    (out / "labels.csv").write_text("component_id,label\n" + "\n".join(label_rows) + "\n")
+    assert load_config(None).cluster.n_folds == 4
+    assert run(["rules", "--out", str(out)]) == 0
+    counts = json.loads((out / "metrics.json").read_text())["stages"]["rules"]["counts"]
+    assert counts["n_folds"] == 3
+    assert json.loads((out / "cluster_eval.json").read_text())["n_positive"] == 3

@@ -9,11 +9,13 @@ from adlink.corpus import SyntheticSpec, generate_synthetic
 from adlink.extract import extract_fields
 from adlink.matchmodel import Dataset, train_forest
 from adlink.pairfeat import FEATURE_NAMES, SCHEMA_VERSION, PairFeaturizer
+from adlink.blocking import build_blocks, candidate_pairs
 from adlink.resolve import (
     SweepResult,
     connected_components,
     score_candidates,
     select_threshold,
+    sweep_curve,
     threshold_sweep,
 )
 from adlink.surrogate import build_strong_graph, sample_pairs
@@ -190,7 +192,6 @@ def test_sweep_above_max_score_equals_strong_only(trained_setup):
 
 def test_sweep_partitions_refine_as_threshold_rises(trained_setup):
     ads, ads_by_id, fieldsets, graph, model = trained_setup
-    from adlink.blocking import build_blocks, candidate_pairs
     index = build_blocks(ads, rarity_threshold=20)
     scored = score_candidates(model, candidate_pairs(index), ads_by_id, fieldsets)
     nodes = [a.id for a in ads]
@@ -228,6 +229,85 @@ def test_sweep_needs_two_thresholds(trained_setup):
     ads, _, fieldsets, _, model = trained_setup
     with pytest.raises(ValueError):
         threshold_sweep(model, ads, fieldsets, thresholds=[0.5], sample_size=10)
+
+
+def test_sweep_curve_matches_connected_components_on_random_graphs():
+    grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98]
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 120)
+        names = [f"n{i}" for i in range(n)]
+        # some edge endpoints are left out of ``nodes``; self edges included
+        nodes = rng.sample(names, rng.randint(0, n))
+        strong = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, n // 4))]
+        weak = []
+        for _ in range(rng.randint(0, 3 * n)):
+            # half the scores sit exactly on a grid value
+            score = rng.choice(grid) if rng.random() < 0.5 else rng.random()
+            weak.append((rng.choice(names), rng.choice(names), score))
+        expected = []
+        for t in grid:
+            comps = connected_components(strong, weak, t, nodes=nodes)
+            expected.append((t, len(comps), comps.largest_size()))
+        assert sweep_curve(strong, weak, reversed(grid), nodes=nodes) == expected
+
+
+def test_sweep_curve_empty_graph():
+    assert sweep_curve([], [], [0.2, 0.5]) == [(0.2, 0, 0), (0.5, 0, 0)]
+    assert sweep_curve([], [("a", "b", float("nan"))], [0.0, 0.5], nodes=["a", "b"]) == [
+        (0.0, 2, 1), (0.5, 2, 1)]
+
+
+# --- score once ----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_model(small_corpus, small_fieldsets):
+    graph, comps = build_strong_graph({a.id: small_fieldsets[a.id].phones for a in small_corpus})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        samples = sample_pairs(comps, graph, n_pos=300, n_neg=300, rng_seed=4)
+    fz = PairFeaturizer({a.id: a for a in small_corpus}, small_fieldsets)
+    X = fz.matrix([(s.ad_i, s.ad_j) for s in samples])
+    y = np.array([1 if s.label == "positive" else 0 for s in samples])
+    ds = Dataset(X=X, y=y, ids=[], feature_names=FEATURE_NAMES, schema_version=SCHEMA_VERSION)
+    return train_forest(ds, n_trees=15, max_depth=8, seed=5)
+
+
+@pytest.fixture(scope="module")
+def corpus_scores(small_corpus, small_fieldsets, small_model):
+    pairs = candidate_pairs(build_blocks(small_corpus, rarity_threshold=20))
+    scored = score_candidates(small_model, pairs, {a.id: a for a in small_corpus},
+                              small_fieldsets)
+    return {(i, j): s for i, j, s in scored}
+
+
+def test_score_depends_only_on_the_pair(small_corpus, small_fieldsets, small_model,
+                                        corpus_scores):
+    pairs = sorted(corpus_scores)[::7]
+    needed = {ad_id for pair in pairs for ad_id in pair}
+    subset = {a.id: a for a in small_corpus if a.id in needed}
+    scored = score_candidates(small_model, pairs, subset, small_fieldsets, batch_size=13)
+    assert [s for _, _, s in scored] == [corpus_scores[p] for p in pairs]
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.5])
+def test_known_scores_leave_the_sweep_unchanged(small_corpus, small_fieldsets, small_model,
+                                                corpus_scores, fraction):
+    grid = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.95]
+    size = int(fraction * len(small_corpus))
+    kwargs = dict(thresholds=grid, sample_size=size, seed=3, rarity_threshold=20)
+    plain = threshold_sweep(small_model, small_corpus, small_fieldsets, **kwargs)
+    reused = threshold_sweep(small_model, small_corpus, small_fieldsets,
+                             known_scores=corpus_scores, **kwargs)
+    assert reused.rows == plain.rows
+    assert reused.sample_size == plain.sample_size == size
+    assert plain.rescored > reused.rescored
+    if fraction == 1.0:
+        # full-corpus blocking already produced every candidate
+        assert reused.rescored == 0
+    else:
+        # the sample re-blocks with its own document frequencies
+        assert reused.rescored > 0
 
 
 # --- threshold selection ----------------------------------------------------------
