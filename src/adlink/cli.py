@@ -5,8 +5,9 @@
 
 Every stage reads its inputs from the run directory and writes its outputs
 atomically (temp file + rename), so a crashed stage never leaves a partial
-artifact. ``metrics.json`` accumulates per-stage timings and counts; it is
-a log, not a data artifact, and is excluded from ``digests.json``.
+artifact. ``metrics.json`` accumulates per-stage timings (with the hot
+stages' inner layers under ``layers``) and counts; it is a log, not a data
+artifact, and is excluded from ``digests.json``.
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 missing prerequisite.
 """
@@ -14,6 +15,8 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 missing prerequisite.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import contextvars
 import csv
 import hashlib
 import itertools
@@ -117,15 +120,33 @@ def _require(out: Path, *names: str) -> None:
             )
 
 
+# layer -> seconds within the stage that run_stage is running
+_stage_layers: contextvars.ContextVar[dict[str, float]] = contextvars.ContextVar("stage_layers")
+
+
+@contextlib.contextmanager
+def _layer(name: str):
+    """Add the block's wall time to the running stage's ``layers`` in metrics.json."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        layers = _stage_layers.get(None)
+        if layers is not None:
+            layers[name] = layers.get(name, 0.0) + time.perf_counter() - t0
+
+
 def _record_metrics(out: Path, stage: str, seconds: float, counts: dict,
-                    stage_warnings: list[str]) -> None:
+                    layers: dict[str, float], stage_warnings: list[str]) -> None:
     path = out / "metrics.json"
     data = {"stages": {}}
     if path.exists():
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     data.setdefault("stages", {})[stage] = {
-        "seconds": round(seconds, 3), "counts": counts, "warnings": stage_warnings,
+        "seconds": round(seconds, 3), "counts": counts,
+        "layers": {name: round(s, 3) for name, s in layers.items()},
+        "warnings": stage_warnings,
     }
     _write_json(path, data)
 
@@ -321,15 +342,18 @@ def stage_train(cfg: PipelineConfig, out: Path) -> dict:
             threads=cfg.threads,
         )
 
-    held_out_model = fit(train_ds)
-    test_scores = matchmodel.predict_proba(held_out_model, ds.X[test_mask])
+    with _layer("fit_heldout_s"):
+        held_out_model = fit(train_ds)
+    with _layer("predict_s"):
+        test_scores = matchmodel.predict_proba(held_out_model, ds.X[test_mask])
     curve = matchmodel.roc(test_scores, ds.y[test_mask])
 
     # metrics come from the held-out split; the shipped model uses all rows
     full_ds = matchmodel.Dataset(X=ds.X, y=ds.y, ids=[],
                                  feature_names=ds.feature_names,
                                  schema_version=ds.schema_version)
-    model = fit(full_ds)
+    with _layer("fit_full_s"):
+        model = fit(full_ds)
     matchmodel.save_model(model, out / "model.json.tmp")
     os.replace(out / "model.json.tmp", out / "model.json")
     _write_csv(out / "roc.csv", ["fpr", "tpr", "threshold"],
@@ -382,20 +406,22 @@ def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
     # every candidate is scored here, once; resolve only applies the threshold
     ad_id = {ad.id: ad.id for ad in ads}  # one string object per id, as blocking makes
     pairs = [(ad_id[r[0]], ad_id[r[1]]) for r in _read_csv(out / "candidates.csv")[1]]
-    scored = resolve_mod.score_candidates(model, pairs, {ad.id: ad for ad in ads}, fieldsets)
+    with _layer("score_s"):
+        scored = resolve_mod.score_candidates(model, pairs, {ad.id: ad for ad in ads}, fieldsets)
     # in candidate order; the dict keeps the pair tuples, and dropping the
     # lists keeps them out of the sample sweep's peak memory
     scores = dict(zip(pairs, [s for _, _, s in scored]))
     del pairs, scored
-    sweep = resolve_mod.threshold_sweep(
-        model, ads, fieldsets,
-        thresholds=cfg.resolve.thresholds,
-        sample_size=cfg.resolve.sweep_sample_size,
-        seed=cfg.seed,
-        rarity_threshold=cfg.blocking.rarity_threshold,
-        max_block_size=cfg.blocking.max_block_size,
-        known_scores=scores,
-    )
+    with _layer("curve_s"):
+        sweep = resolve_mod.threshold_sweep(
+            model, ads, fieldsets,
+            thresholds=cfg.resolve.thresholds,
+            sample_size=cfg.resolve.sweep_sample_size,
+            seed=cfg.seed,
+            rarity_threshold=cfg.blocking.rarity_threshold,
+            max_block_size=cfg.blocking.max_block_size,
+            known_scores=scores,
+        )
     graph, _ = surrogate.build_strong_graph(
         {ad.id: fieldsets.get(ad.id, extract.FieldSet()).phones for ad in ads}
     )
@@ -694,16 +720,19 @@ def run_stage(stage: str, cfg: PipelineConfig, out: Path) -> dict:
     if func is None:
         raise UsageError(f"unknown stage {stage!r}")
     out.mkdir(parents=True, exist_ok=True)
+    layers: dict[str, float] = {}
+    token = _stage_layers.set(layers)
     t0 = time.perf_counter()
     try:
         # the stage's warnings go to metrics.json as well as to stderr
         with warnings.catch_warnings(record=True) as caught:
             counts = func(cfg, out)
     finally:
+        _stage_layers.reset(token)
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     elapsed = time.perf_counter() - t0
-    _record_metrics(out, stage, elapsed, counts, [str(w.message) for w in caught])
+    _record_metrics(out, stage, elapsed, counts, layers, [str(w.message) for w in caught])
     summary = ", ".join(f"{k}={v}" for k, v in counts.items())
     print(f"[{stage}] {elapsed:.2f}s {summary}")
     return counts

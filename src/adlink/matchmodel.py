@@ -5,6 +5,14 @@ trained model is a plain JSON document and predictions are bit-reproducible
 across processes. Forest randomness flows from one master seed through a
 splitmix64 sequence into per-tree seeds fixed before any parallel dispatch,
 so results do not depend on thread count.
+
+Forest training maps every feature column to dense rank codes once per
+``train_forest`` call and searches all features drawn at a node together,
+with one stable sort of the codes per feature; prediction walks batches of
+rows through node arrays flattened from the trees, built once per model and
+cached on it (never serialized). Trees, importances and scores are
+byte-identical to a per-feature, per-node recursive reference, which
+``tests/test_matchmodel.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -107,6 +115,8 @@ class ForestModel:
     seeds: list[int]
     importances_raw: np.ndarray  # summed impurity decrease per feature
     params: dict = field(default_factory=dict)
+    # node arrays for predict_proba, built on first use; never serialized
+    _flat: _FlatForest | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -188,61 +198,95 @@ def _gini(pos: float, n: float) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def _build_tree(X, y, rows, rng, max_depth, min_leaf, m_features, depth, importances):
+def _rank_codes(X: np.ndarray) -> np.ndarray:
+    """Dense rank of every value within its column, feature-major ``(d, n)``.
+
+    Equal floats (``-0.0`` and ``0.0`` included) share a code and codes keep
+    the order of the floats, so a stable sort of a column's codes is the same
+    permutation as a stable sort of its floats. ``uint16`` codes, used when
+    every column has at most 65,536 distinct values, sort by radix.
+    """
+    columns = [np.unique(X[:, f], return_inverse=True) for f in range(X.shape[1])]
+    narrow = all(len(values) <= 1 << 16 for values, _ in columns)
+    codes = np.empty((X.shape[1], X.shape[0]), dtype=np.uint16 if narrow else np.uint32)
+    for f, (_, inverse) in enumerate(columns):
+        codes[f] = inverse
+    return codes
+
+
+def _best_split(X, codes, y, rows, pos, feats, min_leaf):
+    """Lowest-impurity split of ``rows`` over the features ``feats`` (ascending).
+
+    Returns ``(impurity, feature, threshold, left_rows, right_rows, left_pos)``
+    or None when no feature can be cut between two different values with
+    ``min_leaf`` rows on each side. All features are searched at once: row
+    ``j`` of ``order`` sorts the node's rows by feature ``feats[j]``, and a
+    cut at ``k`` sends the first ``k`` of them left. Impurity is computed
+    only at cuts between different values; the first minimum of each feature
+    competes, and a feature replaces the best so far only when it is lower by
+    more than 1e-15.
+    """
     n = len(rows)
-    pos = int(y[rows].sum())
-    if depth >= max_depth or n < 2 * min_leaf or pos == 0 or pos == n:
-        return {"p": pos / n, "n": n}
-
-    d = X.shape[1]
-    feats = np.sort(rng.choice(d, size=min(m_features, d), replace=False))
-    node_gini = _gini(pos, n)
-
-    best = None  # (impurity, feature, threshold, order, split_idx)
-    for f in feats:
-        x = X[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[rows][order]
-        cum_pos = np.cumsum(ys)
-        idx = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & (idx >= min_leaf) & (n - idx >= min_leaf)
-        if not valid.any():
-            continue
-        left_n = idx[valid].astype(np.float64)
-        right_n = n - left_n
-        left_pos = cum_pos[:-1][valid].astype(np.float64)
-        right_pos = pos - left_pos
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        impurity = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
-        k = int(np.argmin(impurity))
-        if best is None or impurity[k] < best[0] - 1e-15:
-            pos_k = idx[valid][k]
-            thr = (xs[pos_k - 1] + xs[pos_k]) / 2.0
-            best = (float(impurity[k]), int(f), thr, order, int(pos_k))
-
-    if best is None or best[0] >= node_gini - 1e-15:
-        return {"p": pos / n, "n": n}
-
-    impurity, f, thr, order, k = best
-    importances[f] += (n * (node_gini - impurity))
-    left_rows = rows[order[:k]]
-    right_rows = rows[order[k:]]
-    return {
-        "f": f,
-        "t": float(thr),
-        "l": _build_tree(X, y, left_rows, rng, max_depth, min_leaf, m_features, depth + 1, importances),
-        "r": _build_tree(X, y, right_rows, rng, max_depth, min_leaf, m_features, depth + 1, importances),
-    }
+    lo = max(min_leaf, 1)  # allowed left sizes: lo .. n - lo
+    c = codes[feats].take(rows, axis=1)
+    order = np.argsort(c, axis=1, kind="stable")
+    flat_order = order + np.arange(0, c.size, n)[:, None]
+    c = c.take(flat_order)  # sorted codes
+    cum_pos = np.cumsum(y[rows].take(order), axis=1).ravel()
+    cuts = np.flatnonzero(c[:, lo:n - lo + 1] != c[:, lo - 1:n - lo])
+    if not len(cuts):
+        return None
+    j, k = np.divmod(cuts, n - 2 * lo + 1)  # feature row, left size - lo
+    k += lo
+    left_n = k.astype(np.float64)
+    right_n = n - left_n
+    left_pos = cum_pos.take(j * n + k - 1).astype(np.float64)
+    right_pos = pos - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    impurity = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+    # cuts come grouped by feature: one segment of `impurity` per feature with a cut
+    bounds = np.searchsorted(j, np.arange(len(feats) + 1)).tolist()
+    segments = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    best = None  # (impurity, segment)
+    mins = np.minimum.reduceat(impurity, [a for a, _ in segments]).tolist()
+    for seg, value in zip(segments, mins):
+        if best is None or value < best[0] - 1e-15:
+            best = (value, seg)
+    value, (a, b) = best
+    i = a + int(np.argmin(impurity[a:b]))
+    row, size = int(j[i]), int(k[i])
+    f = int(feats[row])
+    left, right = rows[order[row, :size]], rows[order[row, size:]]
+    thr = (X[left[-1], f] + X[right[0], f]) / 2.0
+    return value, f, float(thr), left, right, int(cum_pos[row * n + size - 1])
 
 
-def _train_one_tree(X, y, seed, max_depth, min_leaf, m_features):
+def _train_one_tree(X, codes, y, seed, max_depth, min_leaf, m_features):
     rng = np.random.default_rng(seed)
-    n = len(y)
-    rows = rng.integers(0, n, size=n)  # bootstrap
-    importances = np.zeros(X.shape[1])
-    tree = _build_tree(X, y, rows, rng, max_depth, min_leaf, m_features, 0, importances)
+    d = X.shape[1]
+    importances = np.zeros(d)
+
+    def grow(rows, pos, depth):
+        n = len(rows)
+        if depth >= max_depth or n < 2 * min_leaf or pos == 0 or pos == n:
+            return {"p": pos / n, "n": n}
+        feats = np.sort(rng.choice(d, size=min(m_features, d), replace=False))
+        node_gini = _gini(pos, n)
+        split = _best_split(X, codes, y, rows, pos, feats, min_leaf)
+        if split is None or split[0] >= node_gini - 1e-15:
+            return {"p": pos / n, "n": n}
+        impurity, f, thr, left, right, left_pos = split
+        importances[f] += (n * (node_gini - impurity))
+        return {
+            "f": f,
+            "t": thr,
+            "l": grow(left, left_pos, depth + 1),
+            "r": grow(right, pos - left_pos, depth + 1),
+        }
+
+    rows = rng.integers(0, len(y), size=len(y))  # bootstrap
+    tree = grow(rows, int(y[rows].sum()), 0)
     return tree, importances
 
 
@@ -260,9 +304,10 @@ def train_forest(dataset: Dataset, n_trees: int = 50, max_depth: int = 12,
     d = dataset.X.shape[1]
     m = features_per_split or int(np.ceil(np.sqrt(d)))
     seeds = tree_seeds(seed, n_trees)
+    codes = _rank_codes(dataset.X)
 
     def job(s):
-        return _train_one_tree(dataset.X, dataset.y, s, max_depth, min_leaf, m)
+        return _train_one_tree(dataset.X, codes, dataset.y, s, max_depth, min_leaf, m)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -289,13 +334,86 @@ def train_forest(dataset: Dataset, n_trees: int = 50, max_depth: int = 12,
     )
 
 
-def _tree_apply(tree: dict, X: np.ndarray, rows: np.ndarray, out: np.ndarray):
-    if "p" in tree:
-        out[rows] = tree["p"]
-        return
-    mask = X[rows, tree["f"]] <= tree["t"]
-    _tree_apply(tree["l"], X, rows[mask], out)
-    _tree_apply(tree["r"], X, rows[~mask], out)
+@dataclass
+class _FlatForest:
+    """A forest's trees as node arrays, built once per model for prediction.
+
+    Node ``k`` tests ``x[feature[k]] <= threshold[k]`` and moves to
+    ``child[2k + 1]`` when that holds, else (``x`` above or NaN) to
+    ``child[2k]``. Leaves point to themselves, so a row that has reached its
+    leaf stays there, and ``value[k]`` is the leaf's probability.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depths: np.ndarray
+
+
+def _flatten(trees: list) -> _FlatForest:
+    """Node arrays, allocated once the node count is known; siblings are adjacent."""
+    n_nodes = 0
+    for tree in trees:
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            n_nodes += 1
+            if "p" not in node:
+                stack += (node["l"], node["r"])
+    feature = np.zeros(n_nodes, dtype=np.intp)
+    threshold = np.zeros(n_nodes)
+    child = np.empty(2 * n_nodes, dtype=np.intp)
+    value = np.zeros(n_nodes)
+    roots = np.empty(len(trees), dtype=np.intp)
+    depths = np.zeros(len(trees), dtype=np.intp)
+    # item assignment through a memoryview is faster than through the ndarray
+    feature_mv, threshold_mv, child_mv, value_mv = map(memoryview, (feature, threshold, child, value))
+    k = 0
+    for t, tree in enumerate(trees):
+        roots[t] = k
+        stack = [(tree, k, 0)]
+        k += 1
+        deepest = 0
+        while stack:
+            node, at, depth = stack.pop()
+            if "p" in node:
+                child_mv[2 * at] = child_mv[2 * at + 1] = at
+                value_mv[at] = node["p"]
+                deepest = max(deepest, depth)
+                continue
+            feature_mv[at] = node["f"]
+            threshold_mv[at] = node["t"]
+            child_mv[2 * at] = k  # right
+            child_mv[2 * at + 1] = k + 1  # left
+            stack += ((node["r"], k, depth + 1), (node["l"], k + 1, depth + 1))
+            k += 2
+        depths[t] = deepest
+    return _FlatForest(feature, threshold, child, value, roots, depths)
+
+
+# (tree, row) cells walked together: 16k cells keep the walk's int64 and
+# float64 temporaries within about 1 MB
+_WALK_CELLS = 1 << 14
+
+
+def _forest_predict(flat: _FlatForest, X: np.ndarray) -> np.ndarray:
+    """Mean leaf probability per row; each tree's leaves are added in tree order."""
+    n, d = X.shape
+    acc = np.zeros(n)
+    x_flat = np.ascontiguousarray(X).ravel()
+    row_base = np.arange(0, n * d, d)
+    per_chunk = max(1, _WALK_CELLS // max(n, 1))
+    for start in range(0, len(flat.roots), per_chunk):
+        roots = flat.roots[start:start + per_chunk]
+        node = np.repeat(roots[:, None], n, axis=1)
+        for _ in range(int(flat.depths[start:start + per_chunk].max())):
+            x = x_flat.take(row_base + flat.feature.take(node))
+            node = flat.child.take(2 * node + (x <= flat.threshold.take(node)))
+        for leaves in flat.value.take(node):
+            acc += leaves
+    return acc / len(flat.roots)
 
 
 def _check_schema(model, X: np.ndarray):
@@ -316,13 +434,9 @@ def predict_proba(model, X) -> np.ndarray:
         Xs = (X - model.means) / model.scales
         return _sigmoid(Xs @ model.weights + model.bias)
     if isinstance(model, ForestModel):
-        acc = np.zeros(len(X))
-        rows = np.arange(len(X))
-        scratch = np.empty(len(X))
-        for tree in model.trees:
-            _tree_apply(tree, X, rows, scratch)
-            acc += scratch
-        return acc / len(model.trees)
+        if model._flat is None:
+            model._flat = _flatten(model.trees)
+        return _forest_predict(model._flat, X)
     raise TypeError(f"unknown model type {type(model)!r}")
 
 

@@ -268,3 +268,42 @@ def test_rules_with_fewer_positives_than_folds(tmp_path):
     counts = json.loads((out / "metrics.json").read_text())["stages"]["rules"]["counts"]
     assert counts["n_folds"] == 3
     assert json.loads((out / "cluster_eval.json").read_text())["n_positive"] == 3
+
+
+# --- pinned results and layer timings ------------------------------------------------
+
+# sha256 of the TINY_CONFIG pipeline's artifacts. A refactor must leave them
+# as they are; a change that alters results on purpose updates these pins and
+# says which artifacts changed and why.
+PINNED_DIGESTS = {
+    "model.json": "973c159b348a77c8f0f1b672f6f2d3cde8c1736f268aae6b0ca665449ce33824",
+    "features.csv": "0af1e47c553a13494d00f776ce97662649c9ccaf1a3ef578e34a819cdf5a4939",
+    "edges.csv": "8823c8dd22abf8e0346db2e481259788e5acd640c851e99970005b9f095b30b0",
+    "components.jsonl": "08ee30cd70da16436316e97d4127055ba9365047ddf7c974cb3587e234272d29",
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_pipeline(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tiny")
+    out = tmp / "run"
+    assert run(["pipeline", "--config", write_config(tmp), "--out", str(out)]) == 0
+    return out
+
+
+def test_tiny_pipeline_digests_pinned(tiny_pipeline):
+    digests = json.loads((tiny_pipeline / "digests.json").read_text())
+    assert {name: digests[name] for name in PINNED_DIGESTS} == PINNED_DIGESTS
+    assert digests == artifact_digests(tiny_pipeline)
+
+
+def test_metrics_record_layer_timings(tiny_pipeline):
+    stages = json.loads((tiny_pipeline / "metrics.json").read_text())["stages"]
+    assert set(stages["train"]["layers"]) == {"fit_heldout_s", "fit_full_s", "predict_s"}
+    assert set(stages["sweep"]["layers"]) == {"score_s", "curve_s"}
+    for stage in ("train", "sweep"):
+        layers = stages[stage]["layers"]
+        assert all(seconds >= 0.0 for seconds in layers.values())
+        assert sum(layers.values()) <= stages[stage]["seconds"] + 0.01
+    assert stages["resolve"]["layers"] == {}
+    assert all(isinstance(s["seconds"], float) for s in stages.values())

@@ -1,9 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlink.matchmodel import (
     Dataset,
+    ForestModel,
     LogisticModel,
+    _best_split,
+    _gini,
+    _rank_codes,
     auc_concordance,
     feature_importance,
     fpr_at_tpr,
@@ -174,6 +182,197 @@ def test_forest_deterministic_per_seed_and_thread_count():
     assert not np.array_equal(predict_proba(m1, X), predict_proba(m3, X))
 
 
+# --- forest kernels against the recursive reference ---------------------------
+#
+# _build_tree, _train_one_tree and _tree_apply below are the plain recursive
+# forest: one stable sort of the floats per feature at every node, and one
+# call per node to predict. They are the oracle for train_forest's rank-coded
+# split search and predict_proba's array walk, which must reproduce their
+# trees, importances and scores bit for bit.
+
+def _build_tree(X, y, rows, rng, max_depth, min_leaf, m_features, depth, importances):
+    n = len(rows)
+    pos = int(y[rows].sum())
+    if depth >= max_depth or n < 2 * min_leaf or pos == 0 or pos == n:
+        return {"p": pos / n, "n": n}
+
+    d = X.shape[1]
+    feats = np.sort(rng.choice(d, size=min(m_features, d), replace=False))
+    node_gini = _gini(pos, n)
+
+    best = None  # (impurity, feature, threshold, order, split_idx)
+    for f in feats:
+        x = X[rows, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        ys = y[rows][order]
+        cum_pos = np.cumsum(ys)
+        idx = np.arange(1, n)
+        valid = (xs[1:] > xs[:-1]) & (idx >= min_leaf) & (n - idx >= min_leaf)
+        if not valid.any():
+            continue
+        left_n = idx[valid].astype(np.float64)
+        right_n = n - left_n
+        left_pos = cum_pos[:-1][valid].astype(np.float64)
+        right_pos = pos - left_pos
+        pl = left_pos / left_n
+        pr = right_pos / right_n
+        impurity = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+        k = int(np.argmin(impurity))
+        if best is None or impurity[k] < best[0] - 1e-15:
+            pos_k = idx[valid][k]
+            thr = (xs[pos_k - 1] + xs[pos_k]) / 2.0
+            best = (float(impurity[k]), int(f), thr, order, int(pos_k))
+
+    if best is None or best[0] >= node_gini - 1e-15:
+        return {"p": pos / n, "n": n}
+
+    impurity, f, thr, order, k = best
+    importances[f] += (n * (node_gini - impurity))
+    left_rows = rows[order[:k]]
+    right_rows = rows[order[k:]]
+    return {
+        "f": f,
+        "t": float(thr),
+        "l": _build_tree(X, y, left_rows, rng, max_depth, min_leaf, m_features, depth + 1, importances),
+        "r": _build_tree(X, y, right_rows, rng, max_depth, min_leaf, m_features, depth + 1, importances),
+    }
+
+
+def _train_one_tree(X, y, seed, max_depth, min_leaf, m_features):
+    rng = np.random.default_rng(seed)
+    n = len(y)
+    rows = rng.integers(0, n, size=n)  # bootstrap
+    importances = np.zeros(X.shape[1])
+    tree = _build_tree(X, y, rows, rng, max_depth, min_leaf, m_features, 0, importances)
+    return tree, importances
+
+
+def _tree_apply(tree: dict, X: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    if "p" in tree:
+        out[rows] = tree["p"]
+        return
+    mask = X[rows, tree["f"]] <= tree["t"]
+    _tree_apply(tree["l"], X, rows[mask], out)
+    _tree_apply(tree["r"], X, rows[~mask], out)
+
+
+def reference_forest(ds, n_trees, max_depth, min_leaf, features_per_split, seed):
+    d = ds.X.shape[1]
+    m = features_per_split or int(np.ceil(np.sqrt(d)))
+    results = [_train_one_tree(ds.X, ds.y, s, max_depth, min_leaf, m)
+               for s in tree_seeds(seed, n_trees)]
+    return [t for t, _ in results], np.sum([imp for _, imp in results], axis=0)
+
+
+def reference_predict(trees, X):
+    acc = np.zeros(len(X))
+    rows = np.arange(len(X))
+    scratch = np.empty(len(X))
+    for tree in trees:
+        _tree_apply(tree, X, rows, scratch)
+        acc += scratch
+    return acc / len(trees)
+
+
+def assert_forest_matches_reference(ds, queries, n_trees, max_depth, min_leaf,
+                                    features_per_split, seed):
+    model = train_forest(ds, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                         features_per_split=features_per_split, seed=seed)
+    trees, importances = reference_forest(ds, n_trees, max_depth, min_leaf,
+                                          features_per_split, seed)
+    assert json.dumps(model.trees) == json.dumps(trees)
+    assert model.importances_raw.tobytes() == importances.tobytes()
+    for X in queries:
+        assert predict_proba(model, X).tobytes() == reference_predict(trees, X).tobytes()
+
+
+SMALL_VALUES = (-2.0, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0)
+
+
+@st.composite
+def forest_cases(draw):
+    n = draw(st.integers(2, 50))
+    d = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["small", "float", "constant"]))
+        if kind == "small":
+            values = st.sampled_from(SMALL_VALUES)
+        elif kind == "float":
+            values = st.floats(-1e6, 1e6, allow_nan=False)
+        else:
+            values = st.just(draw(st.sampled_from(SMALL_VALUES)))
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    X = np.array(columns, dtype=np.float64).T
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0], y[-1] = 0, 1
+    duplicate = draw(st.integers(0, n))  # repeat the first rows
+    X = np.vstack([X, X[:duplicate]])
+    y = np.concatenate([y, y[:duplicate]])
+    params = {
+        "n_trees": draw(st.integers(1, 4)),
+        "max_depth": draw(st.sampled_from([0, 1, 3, 12])),
+        "min_leaf": draw(st.sampled_from([1, 2, 5])),
+        "features_per_split": draw(st.sampled_from([1, None, d])),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    return make_dataset(X, y), params
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_cases())
+def test_forest_matches_recursive_reference(case):
+    ds, params = case
+    d = ds.X.shape[1]
+    odd = ds.X[: min(len(ds.X), 6)].copy()
+    odd[0::3, 0] = np.nan
+    odd[1::3, -1] = np.inf
+    odd[2::3, 0] = -np.inf
+    queries = [ds.X, odd, ds.X[:1], np.zeros((0, d)), np.full((2, d), np.nan)]
+    assert_forest_matches_reference(ds, queries, **params)
+
+
+def test_near_tie_keeps_the_earlier_feature():
+    # feature 0 cuts 1|5 rows (impurity 0.4000000000000001), feature 1 cuts
+    # 5|1 rows (0.39999999999999997): lower, but by less than 1e-15
+    X = np.array([[0, 0], [1, 0], [1, 0], [1, 0], [1, 0], [1, 1]], dtype=np.float64)
+    y = np.array([0, 1, 1, 0, 0, 1])
+    rows = np.arange(6)
+    split = _best_split(X, _rank_codes(X), y, rows, 3, np.array([0, 1]), 1)
+    assert split[:3] == (0.4000000000000001, 0, 0.5)
+    reference = _build_tree(X, y, rows, np.random.default_rng(0), 1, 1, 2, 0, np.zeros(2))
+    assert (reference["f"], reference["t"]) == (0, 0.5)
+
+
+def test_rank_codes_widen_past_65536_values():
+    rng = np.random.default_rng(3)
+    X = rng.permutation(65_537).astype(np.float64).reshape(-1, 1)
+    assert _rank_codes(X[:-1]).dtype == np.uint16
+    assert _rank_codes(X).dtype == np.uint32
+    assert np.array_equal(_rank_codes(X)[0], X[:, 0].astype(np.int64))
+
+
+def test_forest_matches_reference_with_wide_codes():
+    rng = np.random.default_rng(5)
+    n = 70_000
+    X = np.column_stack([rng.normal(size=n), rng.integers(0, 4, n).astype(float)])
+    y = ((X[:, 0] + rng.normal(scale=0.5, size=n)) > 0).astype(int)
+    ds = make_dataset(X, y)
+    assert _rank_codes(ds.X).dtype == np.uint32
+    queries = [X[:5000], np.array([[np.nan, 1.0], [np.inf, -np.inf]])]
+    assert_forest_matches_reference(ds, queries, n_trees=1, max_depth=3, min_leaf=5,
+                                    features_per_split=2, seed=1)
+
+
+def test_forest_threads_give_the_same_model():
+    ds = xor_dataset(n=300, seed=4)
+    m1 = train_forest(ds, n_trees=8, seed=21, threads=1)
+    m2 = train_forest(ds, n_trees=8, seed=21, threads=2)
+    assert json.dumps(model_to_dict(m1)) == json.dumps(model_to_dict(m2))
+    assert m1.importances_raw.tobytes() == m2.importances_raw.tobytes()
+
+
 def test_tree_seed_sequence_stable():
     assert tree_seeds(7, 3) == tree_seeds(7, 5)[:3]
     assert tree_seeds(7, 3) != tree_seeds(8, 3)
@@ -318,6 +517,22 @@ def test_serialization_roundtrip_bit_identical(tmp_path, kind):
     X = np.vstack([ds.X, ds.X * 0.37])
     assert np.array_equal(predict_proba(model, X), predict_proba(loaded, X))
     assert model_to_dict(loaded) == model_to_dict(model)
+
+
+def test_prediction_arrays_never_reach_json(tmp_path):
+    ds = xor_dataset(n=200, seed=13)
+    model = train_forest(ds, n_trees=6, seed=2)
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    save_model(model, before)
+    scores = predict_proba(model, ds.X)
+    save_model(model, after)
+    assert before.read_bytes() == after.read_bytes()
+    assert set(model_to_dict(model)) == set(json.loads(after.read_text()))
+    loaded = load_model(after)
+    assert isinstance(loaded, ForestModel)
+    X = np.vstack([ds.X, [[np.nan, 0.0], [np.inf, -np.inf]]])
+    assert predict_proba(loaded, X).tobytes() == predict_proba(model, X).tobytes()
+    assert predict_proba(loaded, ds.X).tobytes() == scores.tobytes()
 
 
 def test_model_from_dict_rejects_unknown_kind():
