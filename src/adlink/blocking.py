@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import Ad
 from .extract import tokenize
@@ -29,7 +29,6 @@ class BlockIndex:
     rarity_threshold: int
     max_block_size: int
     n_dropped: int = 0
-    dropped_keys: list[tuple[str, str]] = field(default_factory=list)
 
     def block_counts(self) -> dict[str, int]:
         counts = {kind: 0 for kind in KINDS}
@@ -78,7 +77,6 @@ def build_blocks(ads: list[Ad], rarity_threshold: int = 10,
     for key, members in blocks.items():
         if len(members) > max_block_size:
             index.n_dropped += 1
-            index.dropped_keys.append(key)
             continue
         index.blocks[key] = frozenset(members)
     return index

@@ -408,27 +408,19 @@ def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
     pairs = [(ad_id[r[0]], ad_id[r[1]]) for r in _read_csv(out / "candidates.csv")[1]]
     with _layer("score_s"):
         scored = resolve_mod.score_candidates(model, pairs, {ad.id: ad for ad in ads}, fieldsets)
-    # in candidate order; the dict keeps the pair tuples, and dropping the
-    # lists keeps them out of the sample sweep's peak memory
-    scores = dict(zip(pairs, [s for _, _, s in scored]))
-    del pairs, scored
-    with _layer("curve_s"):
-        sweep = resolve_mod.threshold_sweep(
-            model, ads, fieldsets,
-            thresholds=cfg.resolve.thresholds,
-            sample_size=cfg.resolve.sweep_sample_size,
-            seed=cfg.seed,
-            rarity_threshold=cfg.blocking.rarity_threshold,
-            max_block_size=cfg.blocking.max_block_size,
-            known_scores=scores,
-        )
+    del pairs
     graph, _ = surrogate.build_strong_graph(
         {ad.id: fieldsets.get(ad.id, extract.FieldSet()).phones for ad in ads}
     )
+    strong = sorted(graph.strong_pairs())
     _write_csv(out / "edges.csv", ["ad_i", "ad_j", "kind", "score"], itertools.chain(
-        ((i, j, "strong", 1.0) for i, j in sorted(graph.strong_pairs())),
-        ((i, j, "weak", s) for (i, j), s in scores.items()),
+        ((i, j, "strong", 1.0) for i, j in strong),
+        ((i, j, "weak", s) for i, j, s in scored),
     ))
+    # the curve of the edges just written, over the whole corpus
+    with _layer("curve_s"):
+        rows = resolve_mod.sweep_curve(strong, scored, cfg.resolve.thresholds, nodes=list(ad_id))
+    sweep = resolve_mod.SweepResult(rows=rows, sample_size=len(ad_id))
     _write_csv(out / "sweep.csv", ["threshold", "n_components", "largest_size"],
                [(float(t), n, lg) for t, n, lg in sweep.rows])
     chosen = resolve_mod.select_threshold(sweep, cfg.resolve.max_largest_fraction)
@@ -438,9 +430,8 @@ def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
         "max_largest_fraction": cfg.resolve.max_largest_fraction,
     })
     cap = cfg.resolve.max_largest_fraction * sweep.sample_size
-    return {"thresholds": len(sweep.rows), "selected": chosen, "sample": sweep.sample_size,
-            "fallback": all(largest > cap for _, _, largest in sweep.rows),
-            "rescored": sweep.rescored}
+    return {"thresholds": len(sweep.rows), "selected": chosen,
+            "fallback": all(largest > cap for _, _, largest in sweep.rows)}
 
 
 def stage_resolve(cfg: PipelineConfig, out: Path) -> dict:

@@ -62,10 +62,10 @@ class BlockingConfig:
 @dataclass
 class ResolveConfig:
     thresholds: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
+    # largest component allowed, as a fraction of the corpus, on the merge
+    # curve of every scored candidate (a sample's curve would underestimate
+    # the low-threshold merge cascade)
     max_largest_fraction: float = 0.05
-    # at desk scale the whole corpus is an affordable sweep sample, and a
-    # small sample underestimates the low-threshold merge cascade
-    sweep_sample_size: int = 2000
 
 
 @dataclass
@@ -105,8 +105,8 @@ class PipelineConfig:
             raise ValueError(f"unknown negative_source {self.sampler.negative_source!r}")
         if not 0.0 < self.model.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        if len(self.resolve.thresholds) < 2:
-            raise ValueError("resolve.thresholds needs at least two values")
+        if len(set(self.resolve.thresholds)) < 2:
+            raise ValueError("resolve.thresholds needs at least two distinct values")
         if not 0.0 < self.resolve.max_largest_fraction <= 1.0:
             raise ValueError("max_largest_fraction must be in (0, 1]")
 

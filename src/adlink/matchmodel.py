@@ -593,9 +593,8 @@ def model_from_dict(obj: dict):
 
 
 def save_model(model, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    Path(path).write_text(json.dumps(model_to_dict(model)) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path):

@@ -1,16 +1,17 @@
 """Link-graph fusion and component extraction.
 
 Strong edges (shared phones) always hold; weak edges are classifier scores
-admitted above a match threshold. The threshold itself is picked by sweeping
-a sample of the corpus and capping the largest component, which is the
-defence against the runaway-merge failure mode of over-permissive cutoffs.
+admitted above a match threshold. The threshold itself is picked from the
+merge curve of the scored edges, capping the largest component, which is
+the defence against the runaway-merge failure mode of over-permissive
+cutoffs.
 
 Every candidate pair is scored once, by the ``sweep`` stage: it writes the
-scored edges to ``edges.csv`` and hands those scores to
-:func:`threshold_sweep` as ``known_scores``, so only sample pairs that
-full-corpus blocking did not produce are featurized again. ``resolve`` then
-reads ``edges.csv`` and applies the chosen threshold with one
-:func:`connected_components` pass.
+scored edges to ``edges.csv`` and builds the curve from that same edge list
+with :func:`sweep_curve`. ``resolve`` then reads ``edges.csv`` and applies
+the chosen threshold with one :func:`connected_components` pass.
+:func:`threshold_sweep` is the library form that blocks, scores and sweeps
+a corpus sample on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import blocking as _blocking
 from . import surrogate as _surrogate
 
 __all__ = [
-    "LinkGraph",
     "ComponentSet",
     "SweepResult",
     "score_candidates",
@@ -37,13 +37,6 @@ __all__ = [
     "threshold_sweep",
     "select_threshold",
 ]
-
-
-@dataclass
-class LinkGraph:
-    nodes: list[str]
-    strong_edges: set[tuple[str, str]]
-    weak_edges: list[tuple[str, str, float]]  # score >= threshold
 
 
 @dataclass
@@ -71,7 +64,6 @@ class ComponentSet:
 class SweepResult:
     rows: list[tuple[float, int, int]]  # (threshold, n_components, largest size)
     sample_size: int
-    rescored: int = 0  # sample candidates missing from known_scores, scored here
 
 
 def score_candidates(model, pairs, ads_by_id: dict[str, Ad],
@@ -142,78 +134,46 @@ def connected_components(strong_edges, weak_edges, threshold: float,
 
 def sweep_curve(strong_edges, weak_edges, thresholds,
                 nodes=None) -> list[tuple[float, int, int]]:
-    """``(threshold, n_components, largest size)`` per threshold, ascending.
+    """``(threshold, n_components, largest size)`` per distinct threshold, ascending.
 
     One union-find pass stands in for a :func:`connected_components` call per
     threshold: strong edges join first, then weak edges in descending score
     order, and the row for ``t`` is read once every weak edge scoring
     ``>= t`` is in.
     """
-    thresholds = sorted(float(t) for t in thresholds)
+    thresholds = sorted(set(float(t) for t in thresholds))
     if not thresholds:
         return []
-    index: dict = {}
-    parent: list[int] = []
-    size: list[int] = []
-
-    def root(x) -> int:
-        k = index.get(x)
-        if k is None:
-            k = index[x] = len(parent)
-            parent.append(k)
-            size.append(1)
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    merges = 0
-    largest = 0
-
-    def union(i, j) -> None:
-        nonlocal merges, largest
-        a, b = root(i), root(j)
-        if a == b:
-            return
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        merges += 1
-        largest = max(largest, size[a])
-
+    uf = UnionFind()
     for node in nodes or ():
-        root(node)
-    if parent:
-        largest = 1
+        uf.add(node)
+    largest = 1 if len(uf) else 0
+
+    def join(i, j) -> None:
+        nonlocal largest
+        if i != j and uf.union(i, j):
+            largest = max(largest, uf.size(i))
+
     for i, j in strong_edges:
-        if i != j:
-            union(i, j)
+        join(i, j)
     # edges below the lowest threshold (or NaN) are never admitted
-    weak = sorted((e for e in weak_edges if e[0] != e[1] and e[2] >= thresholds[0]),
+    weak = sorted((e for e in weak_edges if e[2] >= thresholds[0]),
                   key=lambda e: e[2], reverse=True)
     rows = []
     k = 0
     for t in reversed(thresholds):
         while k < len(weak) and weak[k][2] >= t:
-            union(weak[k][0], weak[k][1])
+            join(weak[k][0], weak[k][1])
             k += 1
-        rows.append((t, len(parent) - merges, largest))
+        rows.append((t, len(uf), largest))
     rows.reverse()
     return rows
 
 
 def threshold_sweep(model, ads: list[Ad], fieldsets: dict[str, FieldSet],
                     thresholds, sample_size: int = 10_000, seed: int = 0,
-                    rarity_threshold: int = 10, max_block_size: int = 200,
-                    known_scores: dict[tuple[str, str], float] | None = None) -> SweepResult:
-    """Run block -> score -> resolve on a corpus sample at each threshold.
-
-    ``known_scores`` maps candidate pairs ``(i, j)`` to scores already
-    computed, typically on the full corpus; only sample candidates missing
-    from it are featurized. A pair's features depend on its two ads alone,
-    so a known score equals the one computed here.
-    """
+                    rarity_threshold: int = 10, max_block_size: int = 200) -> SweepResult:
+    """Run block -> score -> resolve on a corpus sample at each threshold."""
     thresholds = sorted(set(float(t) for t in thresholds))
     if len(thresholds) < 2:
         raise ValueError("threshold_sweep needs at least two distinct thresholds")
@@ -239,14 +199,10 @@ def threshold_sweep(model, ads: list[Ad], fieldsets: dict[str, FieldSet],
     strong = graph.strong_pairs()
 
     index = _blocking.build_blocks(sample, rarity_threshold, max_block_size)
-    cands = _blocking.candidate_pairs(index)
-    known = known_scores or {}
-    misses = [pair for pair in cands if pair not in known]
-    fresh = {(i, j): s for i, j, s in score_candidates(model, misses, ads_by_id, sample_fields)}
-    scored = [(i, j, known[(i, j)] if (i, j) in known else fresh[(i, j)]) for i, j in cands]
+    scored = score_candidates(model, _blocking.candidate_pairs(index), ads_by_id, sample_fields)
 
     rows = sweep_curve(strong, scored, thresholds, nodes=sample_ids)
-    return SweepResult(rows=rows, sample_size=len(sample), rescored=len(misses))
+    return SweepResult(rows=rows, sample_size=len(sample))
 
 
 def select_threshold(sweep: SweepResult, max_largest_fraction: float = 0.05) -> float:

@@ -1,4 +1,4 @@
-"""Disjoint-set forest with path compression and union by rank."""
+"""Disjoint-set forest with path compression and union by size."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ from __future__ import annotations
 class UnionFind:
     def __init__(self):
         self.parent: dict = {}
-        self.rank: dict = {}
+        self.sizes: dict = {}  # root -> set size; one entry per set
 
     def add(self, x) -> None:
         if x not in self.parent:
             self.parent[x] = x
-            self.rank[x] = 0
+            self.sizes[x] = 1
 
     def find(self, x):
         self.add(x)
@@ -23,18 +23,26 @@ class UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, x, y) -> None:
+    def union(self, x, y) -> bool:
+        """Join the sets of ``x`` and ``y``; False when they were one already."""
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
+            return False
+        if self.sizes[rx] < self.sizes[ry]:
             rx, ry = ry, rx
         self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
+        self.sizes[rx] += self.sizes.pop(ry)
+        return True
+
+    def size(self, x) -> int:
+        return self.sizes[self.find(x)]
 
     def connected(self, x, y) -> bool:
         return self.find(x) == self.find(y)
+
+    def __len__(self) -> int:
+        """Number of sets."""
+        return len(self.sizes)
 
     def groups(self) -> dict:
         """Map smallest member -> sorted members, one entry per component."""

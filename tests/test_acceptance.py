@@ -233,7 +233,7 @@ def test_criterion_7_pipeline_determinism(tmp_path):
         "sampler": {"n_pos": 300, "n_neg": 300},
         "model": {"n_trees": 20, "max_depth": 8},
         "blocking": {"rarity_threshold": 14},
-        "resolve": {"sweep_sample_size": 100, "max_largest_fraction": 0.15},
+        "resolve": {"max_largest_fraction": 0.15},
         "cluster": {"min_size": 4, "min_support": 1, "n_random_baselines": 20,
                     "n_folds": 2},
     }

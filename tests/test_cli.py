@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 
 from adlink import pairfeat
-from adlink.blocking import build_blocks, candidate_pairs
 from adlink.cli import artifact_digests, main
 from adlink.clusterfeat import CLUSTER_FEATURE_NAMES, CLUSTER_SCHEMA_VERSION
 from adlink.config import load_config
+from adlink.resolve import connected_components
 from adlink.corpus import Ad, load_corpus, write_corpus
 
 TINY_CONFIG = {
@@ -17,7 +17,7 @@ TINY_CONFIG = {
     "sampler": {"n_pos": 300, "n_neg": 300},
     "model": {"n_trees": 20, "max_depth": 8},
     "blocking": {"rarity_threshold": 14},
-    "resolve": {"sweep_sample_size": 100, "max_largest_fraction": 0.15},
+    "resolve": {"max_largest_fraction": 0.15},
     "cluster": {"min_size": 4, "min_support": 1, "n_random_baselines": 20,
                 "n_folds": 2},
 }
@@ -176,7 +176,7 @@ def _csv_rows(path: Path) -> list[list[str]]:
     return [ln.split(",") for ln in lines[1:]]
 
 
-def _pipeline_counting_rows(tmp_path, monkeypatch, overrides=None):
+def _pipeline_counting_rows(tmp_path, monkeypatch):
     """Run the pipeline; return its directory and the pair rows featurized."""
     featurized = []
     matrix = pairfeat.PairFeaturizer.matrix
@@ -188,39 +188,19 @@ def _pipeline_counting_rows(tmp_path, monkeypatch, overrides=None):
 
     monkeypatch.setattr(pairfeat.PairFeaturizer, "matrix", counting)
     out = tmp_path / "run"
-    assert run(["pipeline", "--config", write_config(tmp_path, overrides),
-                "--out", str(out)]) == 0
+    assert run(["pipeline", "--config", write_config(tmp_path), "--out", str(out)]) == 0
     return out, sum(featurized)
 
 
-def test_every_candidate_scored_once_strict_subsample(tmp_path, monkeypatch):
+def test_every_candidate_scored_once(tmp_path, monkeypatch):
     out, featurized = _pipeline_counting_rows(tmp_path, monkeypatch)
-    cfg = load_config(str(tmp_path / "config.json"))
-    candidates = {tuple(r) for r in _csv_rows(out / "candidates.csv")}
-    # re-derive the sweep sample and its blocking independently
-    ads = sorted(load_corpus(out / "ads.jsonl").ads, key=lambda a: a.id)
-    assert cfg.resolve.sweep_sample_size < len(ads)
-    sample = random.Random(cfg.seed).sample(ads, cfg.resolve.sweep_sample_size)
-    sample_cands = candidate_pairs(build_blocks(sample, cfg.blocking.rarity_threshold,
-                                                cfg.blocking.max_block_size))
-    misses = sum(1 for pair in sample_cands if pair not in candidates)
     n_pairs = len(_csv_rows(out / "pairs.csv"))
-    assert featurized == n_pairs + len(candidates) + misses
-    metrics = json.loads((out / "metrics.json").read_text())["stages"]
-    assert metrics["sweep"]["counts"]["rescored"] == misses
+    candidates = _csv_rows(out / "candidates.csv")
+    assert featurized == n_pairs + len(candidates)
     weak = [r for r in _csv_rows(out / "edges.csv") if r[2] == "weak"]
-    assert [tuple(r[:2]) for r in weak] == [tuple(r) for r in _csv_rows(out / "candidates.csv")]
-
-
-def test_every_candidate_scored_once_whole_corpus(tmp_path, monkeypatch):
-    out, featurized = _pipeline_counting_rows(
-        tmp_path, monkeypatch, {"resolve": {"sweep_sample_size": 10_000}})
-    n_pairs = len(_csv_rows(out / "pairs.csv"))
-    n_cands = len(_csv_rows(out / "candidates.csv"))
-    assert featurized == n_pairs + n_cands
+    assert [r[:2] for r in weak] == candidates
     sweep = json.loads((out / "metrics.json").read_text())["stages"]["sweep"]
-    assert sweep["counts"]["rescored"] == 0
-    assert any("clamping" in w for w in sweep["warnings"])
+    assert not any("clamping" in w for w in sweep["warnings"])
 
 
 def test_resolve_needs_edges_from_sweep(tmp_path, capsys):
@@ -295,6 +275,25 @@ def test_tiny_pipeline_digests_pinned(tiny_pipeline):
     digests = json.loads((tiny_pipeline / "digests.json").read_text())
     assert {name: digests[name] for name in PINNED_DIGESTS} == PINNED_DIGESTS
     assert digests == artifact_digests(tiny_pipeline)
+
+
+def test_sweep_rows_match_components_of_the_edge_list(tiny_pipeline):
+    edges = _csv_rows(tiny_pipeline / "edges.csv")
+    strong = [(i, j) for i, j, kind, _ in edges if kind == "strong"]
+    weak = [(i, j, float(score)) for i, j, kind, score in edges if kind == "weak"]
+    ad_ids = [ad.id for ad in load_corpus(tiny_pipeline / "ads.jsonl").ads]
+    rows = _csv_rows(tiny_pipeline / "sweep.csv")
+    assert [float(r[0]) for r in rows] == sorted(load_config(None).resolve.thresholds)
+    for t, n_components, largest in rows:
+        comps = connected_components(strong, weak, float(t), nodes=ad_ids)
+        assert (int(n_components), int(largest)) == (len(comps), comps.largest_size())
+
+    threshold = json.loads((tiny_pipeline / "threshold.json").read_text())
+    assert threshold["sample_size"] == len(ad_ids)
+    chosen = {float(t): (int(n), int(lg)) for t, n, lg in rows}[threshold["threshold"]]
+    lines = (tiny_pipeline / "components.jsonl").read_text().splitlines()
+    sizes = [len(json.loads(line)["members"]) for line in lines]
+    assert chosen == (len(sizes), max(sizes))
 
 
 def test_metrics_record_layer_timings(tiny_pipeline):

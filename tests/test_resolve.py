@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlink.corpus import SyntheticSpec, generate_synthetic
 from adlink.extract import extract_fields
@@ -106,6 +108,30 @@ def test_union_find_basics():
     uf.union("b", "c")
     assert uf.connected("a", "d")
     assert set(uf.groups()) == {"a"}
+    assert uf.union("d", "a") is False
+    assert len(uf) == 1 and uf.size("c") == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))))
+def test_union_find_sizes_match_groups(graph):
+    n, edges = graph
+    uf = UnionFind()
+    for x in range(n):
+        uf.add(x)
+    merges = 0
+    for x, y in edges:
+        was_joined = uf.connected(x, y)
+        merged = uf.union(x, y)
+        assert merged is not was_joined
+        merges += merged
+    groups = uf.groups()
+    assert len(uf) == len(groups) == n - merges
+    assert sorted(uf.sizes.values()) == sorted(len(m) for m in groups.values())
+    for members in groups.values():
+        assert all(uf.size(x) == len(members) for x in members)
 
 
 # --- scoring -----------------------------------------------------------------
@@ -288,26 +314,6 @@ def test_score_depends_only_on_the_pair(small_corpus, small_fieldsets, small_mod
     subset = {a.id: a for a in small_corpus if a.id in needed}
     scored = score_candidates(small_model, pairs, subset, small_fieldsets, batch_size=13)
     assert [s for _, _, s in scored] == [corpus_scores[p] for p in pairs]
-
-
-@pytest.mark.parametrize("fraction", [1.0, 0.5])
-def test_known_scores_leave_the_sweep_unchanged(small_corpus, small_fieldsets, small_model,
-                                                corpus_scores, fraction):
-    grid = [0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 0.95]
-    size = int(fraction * len(small_corpus))
-    kwargs = dict(thresholds=grid, sample_size=size, seed=3, rarity_threshold=20)
-    plain = threshold_sweep(small_model, small_corpus, small_fieldsets, **kwargs)
-    reused = threshold_sweep(small_model, small_corpus, small_fieldsets,
-                             known_scores=corpus_scores, **kwargs)
-    assert reused.rows == plain.rows
-    assert reused.sample_size == plain.sample_size == size
-    assert plain.rescored > reused.rescored
-    if fraction == 1.0:
-        # full-corpus blocking already produced every candidate
-        assert reused.rescored == 0
-    else:
-        # the sample re-blocks with its own document frequencies
-        assert reused.rescored > 0
 
 
 # --- threshold selection ----------------------------------------------------------
