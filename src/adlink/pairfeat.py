@@ -2,21 +2,30 @@
 
 The schema is fixed-order and versioned; every feature is symmetric in the
 pair, so per-ad scalars enter as (min, max) and per-ad presence flags as
-(both, either). ``PairFeaturizer`` caches per-ad derived values (token sets,
-codepoint arrays, presence flags) so scoring many candidate pairs does not
-re-tokenize. Without numba, :meth:`PairFeaturizer.matrix` computes the LCS
-column with a batched numpy kernel over many pairs at once.
+(both, either). ``PairFeaturizer`` derives the per-ad values once, as
+columns indexed by ad, and :meth:`PairFeaturizer.matrix` computes a batch of
+pairs column by column: scalar features are numpy gathers, set features come
+from one pass of set intersections, and the LCS column from suffix automata.
+
+LCS: for each ad on the automaton side of a batch, a suffix automaton of its
+text (Blumer et al. 1985, "The smallest automaton recognizing the subwords
+of a text"). Its suffix-link chase is folded into complete transition
+tables, the way Aho & Corasick (1975) fold their failure function, so each
+(state, symbol) cell holds the next state and the longest match length
+after reading the symbol. Walking the partner text then takes one table
+lookup per character, and a batch of pairs walks in lockstep. The lengths
+are exact, equal to the rolling-row DP in ``_lcs_arrays``.
 """
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import time
+from itertools import chain
 
 import numpy as np
 
 from .corpus import Ad
 from .extract import FieldSet, special_char_count, tokenize
-from .surrogate import jaccard_unigram
 
 __all__ = [
     "FEATURE_NAMES",
@@ -54,6 +63,14 @@ FEATURE_NAMES = (
 # Texts are truncated before the LCS scan; quadratic cost needs a lid.
 LCS_MAX_CHARS = 2000
 
+# The completed transition tables built at once stay within this many bytes;
+# an ad whose automaton alone is larger gets a chunk to itself.
+LCS_TABLE_BYTES = 1 << 20
+
+# Fail length of a direct edge: above any match length, so a walk step
+# min(l + 1, fail) extends the match along a direct edge.
+_DIRECT = np.iinfo(np.int16).max
+
 
 def _codepoints(text: str, limit: int = LCS_MAX_CHARS) -> np.ndarray:
     clipped = text[:limit]
@@ -84,56 +101,7 @@ def _lcs_arrays_numpy(xs: np.ndarray, ys: np.ndarray) -> int:
     return best
 
 
-def _pad_rows(arrays: list[np.ndarray], width: int, fill: int) -> np.ndarray:
-    out = np.full((len(arrays), width), fill, dtype=np.int32)
-    for row, arr in enumerate(arrays):
-        out[row, :len(arr)] = arr
-    return out
-
-
-def _lcs_batch_numpy(xs_seq, ys_seq, batch_size: int = 256) -> np.ndarray:
-    """LCS length of each pair ``(xs_seq[k], ys_seq[k])``; equals ``_lcs_arrays_numpy``.
-
-    Each pair is oriented so the DP iterates over its shorter side, pairs are
-    sorted by length so a batch carries little padding, and the two sides pad
-    with distinct negative sentinels (codepoints are >= 0), so padding never
-    matches. The rolling-row DP then runs over a whole ``(batch, L)`` array.
-    """
-    short, long_ = [], []
-    for xs, ys in zip(xs_seq, ys_seq):
-        if len(xs) > len(ys):
-            xs, ys = ys, xs
-        short.append(xs)
-        long_.append(ys)
-    n_short = np.array([len(s) for s in short], dtype=np.int64)
-    n_long = np.array([len(s) for s in long_], dtype=np.int64)
-    order = np.lexsort((n_short, n_long))
-    out = np.zeros(len(short), dtype=np.int64)
-    for start in range(0, len(order), batch_size):
-        rows = order[start:start + batch_size]
-        width_s = int(n_short[rows].max())
-        if width_s == 0:
-            continue
-        width_l = int(n_long[rows].max())
-        xs = _pad_rows([short[k] for k in rows], width_s, -1)
-        ys = _pad_rows([long_[k] for k in rows], width_l, -2)
-        # DP cells never exceed the shorter length, LCS_MAX_CHARS for clipped texts
-        dtype = np.int16 if width_s < np.iinfo(np.int16).max else np.int32
-        prev = np.zeros((len(rows), width_l + 1), dtype=dtype)
-        cur = np.zeros_like(prev)
-        best = np.zeros((len(rows), width_l), dtype=dtype)
-        match = np.empty((len(rows), width_l), dtype=bool)
-        for col in range(width_s):
-            np.equal(ys, xs[:, col:col + 1], out=match)
-            np.add(prev[:, :-1], 1, out=cur[:, 1:])
-            cur[:, 1:] *= match
-            np.maximum(best, cur[:, 1:], out=best)
-            prev, cur = cur, prev
-        out[rows] = best.max(axis=1)
-    return out
-
-
-try:  # scoring runs LCS on every candidate pair; the jit kernel is ~15x faster
+try:  # the jit kernel makes the per-pair DP cheap enough for one-off calls
     from numba import njit as _njit
 
     @_njit(cache=True)
@@ -165,95 +133,314 @@ except ImportError:  # pragma: no cover
     _lcs_arrays = _lcs_arrays_numpy
 
 
+# --- suffix-automaton LCS ---------------------------------------------------------
+
+def _suffix_automaton(seq) -> tuple[list[int], list[int], list[dict]]:
+    """Blumer et al.'s online construction over a sequence of symbols.
+
+    Returns per state its longest length, its suffix link (-1 at the root,
+    state 0) and its direct transitions ``{symbol: state}``.
+    """
+    length, link, trans = [0], [-1], [{}]
+    last = 0
+    for c in seq:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        trans.append({})
+        p = last
+        while p >= 0 and c not in trans[p]:
+            trans[p][c] = cur
+            p = link[p]
+        if p >= 0:
+            q = trans[p][c]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:  # split q: the clone takes the shorter strings of its class
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                trans.append(trans[q].copy())
+                while p >= 0 and trans[p].get(c) == q:
+                    trans[p][c] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    return length, link, trans
+
+
+def _table_dtype(n_states: int):
+    return np.int16 if n_states <= np.iinfo(np.int16).max else np.int32
+
+
+def _table_bytes(n_states: int, width: int) -> int:
+    return n_states * width * 2 * np.dtype(_table_dtype(n_states)).itemsize
+
+
+class _Automata:
+    """Completed transition tables of several suffix automata, one state space.
+
+    ``table[s, c]`` holds the state after reading symbol ``c`` in state
+    ``s`` and the fail length: the match length on the suffix-link path,
+    or ``_DIRECT`` when ``s`` has an edge on ``c``. The k-th automaton
+    starts in state k.
+    """
+
+    def __init__(self):
+        self.n_states = 0
+        self.sizes: list[int] = []
+        # per automaton, with its own state ids (below 2 * LCS_MAX_CHARS, so int16)
+        self.length: list[np.ndarray] = []
+        self.link: list[np.ndarray] = []
+        self.degree: list[np.ndarray] = []
+        self.symbol: list[np.ndarray] = []
+        self.target: list[np.ndarray] = []
+
+    def add(self, sam: tuple[list[int], list[int], list[dict]]) -> None:
+        length, link, trans = sam
+        self.n_states += len(length)
+        self.sizes.append(len(length))
+        self.length.append(np.array(length, dtype=np.int16))
+        self.link.append(np.array(link, dtype=np.int16))
+        self.degree.append(np.fromiter(map(len, trans), dtype=np.int64, count=len(trans)))
+        self.symbol.append(np.fromiter(chain.from_iterable(trans), dtype=np.int64))
+        self.target.append(np.fromiter(chain.from_iterable(map(dict.values, trans)), dtype=np.int16))
+
+    def complete(self, width: int) -> np.ndarray:
+        """The ``(states, width, 2)`` table: next state, then fail length.
+
+        States are renumbered by depth in the suffix-link tree, so each level
+        is a block of rows that inherits the rows of the level above.
+        """
+        n = self.n_states
+        sizes = np.array(self.sizes, dtype=np.int64)
+        roots = np.cumsum(sizes) - sizes
+        offset = np.repeat(roots, sizes)
+        link = np.concatenate(self.link) + offset
+        link[roots] = roots
+        depth = np.zeros(n, dtype=np.int16)
+        up = np.arange(n)
+        while True:
+            nxt = link[up]
+            moved = nxt != up
+            if not moved.any():
+                break
+            depth += moved
+            up = nxt
+        order = np.argsort(depth, kind="stable")  # the roots first, in automaton order
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        level_end = np.cumsum(np.bincount(depth))
+        parent = rank[link[order]]
+        dtype = _table_dtype(n)
+        # a direct edge of the parent ends a match of the parent's length + 1
+        limit = (np.concatenate(self.length).astype(dtype)[order] + 1)[parent]
+
+        # edges regrouped by source in the new state order, as (target, _DIRECT) cells
+        old_degree = np.concatenate(self.degree)
+        degree = old_degree[order]
+        edge_end = np.cumsum(degree)
+        edge_order = np.repeat((np.cumsum(old_degree) - old_degree)[order] - (edge_end - degree),
+                               degree)
+        edge_order += np.arange(len(edge_order))
+        src = np.repeat(np.arange(n), degree)
+        symbol = np.concatenate(self.symbol)[edge_order]
+        target = np.empty((len(src), 2), dtype=dtype)
+        target[:, 0] = rank[np.concatenate(self.target)[edge_order] + np.repeat(offset[order], degree)]
+        target[:, 1] = _DIRECT
+        level_edges = np.append(0, edge_end)[level_end]
+
+        table = np.empty((n, width, 2), dtype=dtype)
+        table[:len(roots), :, 0] = np.arange(len(roots))[:, None]
+        table[:len(roots), :, 1] = 0
+        start = edge_start = 0
+        for end, e_end in zip(level_end, level_edges):
+            if start:  # inherit the link's row, rewriting its direct edges to fail edges
+                block = table[start:end]
+                np.take(table, parent[start:end], axis=0, out=block, mode="clip")
+                np.minimum(block[:, :, 1], limit[start:end, None], out=block[:, :, 1])
+            edges = slice(edge_start, e_end)
+            table[src[edges], symbol[edges]] = target[edges]
+            start, edge_start = end, e_end
+        return table
+
+
+def _walk(table: np.ndarray, starts: np.ndarray, codes: np.ndarray,
+          text_start: np.ndarray, text_len: np.ndarray) -> np.ndarray:
+    """Longest match of each text against its automaton, all texts in lockstep.
+
+    Row k walks ``codes[text_start[k]:text_start[k] + text_len[k]]`` from
+    state ``starts[k]``; rows must be sorted by ``text_len``, longest first,
+    so the rows still walking are always a prefix.
+    """
+    n = len(starts)
+    width = table.shape[1]
+    # both halves of a cell in one lookup: view each (next, fail) pair as one wider int
+    wide = np.int32 if table.dtype == np.int16 else np.int64
+    cells = table.reshape(-1).view(wide)
+    looked = np.empty(n, dtype=wide)
+    halves = looked.view(table.dtype)
+    state, fail = halves[0::2], halves[1::2]
+    state[:] = starts
+    match = np.zeros(n, dtype=table.dtype)
+    best = np.zeros(n, dtype=table.dtype)
+    pos = text_start.copy()
+    cell = np.empty(n, dtype=np.intp)
+    code = np.empty(n, dtype=codes.dtype)
+    t = 0
+    for end in sorted(set(text_len.tolist())):  # the rows at least `end` long are a prefix
+        k = n - int(np.searchsorted(text_len[::-1], end))
+        s_, f_, m_, b_ = state[:k], fail[:k], match[:k], best[:k]
+        p_, c_, x_, o_ = pos[:k], cell[:k], code[:k], looked[:k]
+        for _ in range(t, end):
+            codes.take(p_, out=x_)
+            np.multiply(s_, width, out=c_, dtype=np.intp)
+            np.add(c_, x_, out=c_)
+            cells.take(c_, out=o_)
+            p_ += 1
+            m_ += 1
+            np.minimum(m_, f_, out=m_)
+            np.maximum(b_, m_, out=b_)
+        t = end
+    return best
+
+
+# --- per-ad columns -----------------------------------------------------------------
+
 _LCS_COLUMN = FEATURE_NAMES.index("lcs_len")
 
 
-def _utc_date(epoch: int):
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).date()
-
-
-class _AdView:
-    """Per-ad derived values, computed once."""
-
-    __slots__ = (
-        "state", "city", "posted_at", "date", "special", "tokens",
-        "codepoints", "images", "names", "costs", "has_ethnicity",
-        "has_cost", "has_restriction", "has_name",
-    )
-
-    def __init__(self, ad: Ad, fs: FieldSet):
-        self.state = ad.state
-        self.city = ad.city
-        self.posted_at = ad.posted_at
-        self.date = _utc_date(ad.posted_at)
-        self.special = special_char_count(ad.text)
-        self.tokens = frozenset(tokenize(ad.text)[0])
-        self.codepoints = _codepoints(ad.text)
-        self.images = ad.image_hashes
-        self.names = frozenset(fs.names)
-        self.costs = frozenset(fs.costs)
-        self.has_ethnicity = 1.0 if fs.ethnicities else 0.0
-        self.has_cost = 1.0 if fs.costs else 0.0
-        self.has_restriction = 1.0 if fs.restrictions else 0.0
-        self.has_name = 1.0 if fs.names else 0.0
-
-
-def _pair_vector(vi: _AdView, vj: _AdView, with_lcs: bool = True) -> np.ndarray:
-    out = np.empty(len(FEATURE_NAMES), dtype=np.float64)
-    out[0] = 1.0 if (vi.state and vi.state == vj.state) else 0.0
-    out[1] = 1.0 if (vi.city and vi.city == vj.city) else 0.0
-    out[2] = min(vi.special, vj.special)
-    out[3] = max(vi.special, vj.special)
-    out[4] = _lcs_arrays(vi.codepoints, vj.codepoints) if with_lcs else 0.0
-    out[5] = len(vi.tokens | vj.tokens)
-    out[6] = jaccard_unigram(vi.tokens, vj.tokens)
-    out[7] = abs(vi.posted_at - vj.posted_at)
-    out[8] = 1.0 if vi.date == vj.date else 0.0
-    out[9] = len(vi.images & vj.images)
-    out[10] = min(vi.has_ethnicity, vj.has_ethnicity)
-    out[11] = max(vi.has_ethnicity, vj.has_ethnicity)
-    out[12] = min(vi.has_cost, vj.has_cost)
-    out[13] = max(vi.has_cost, vj.has_cost)
-    out[14] = min(vi.has_restriction, vj.has_restriction)
-    out[15] = max(vi.has_restriction, vj.has_restriction)
-    out[16] = min(vi.has_name, vj.has_name)
-    out[17] = max(vi.has_name, vj.has_name)
-    out[18] = 1.0 if vi.names & vj.names else 0.0
-    out[19] = 1.0 if vi.costs & vj.costs else 0.0
-    return out
+def _category_codes(values: list[str]) -> np.ndarray:
+    """Dense codes of non-empty strings, -1 for empty ones (which match nothing)."""
+    index: dict[str, int] = {}
+    return np.array([index.setdefault(v, len(index)) if v else -1 for v in values],
+                    dtype=np.int64)
 
 
 def compute_pair_features(ad_i: Ad, ad_j: Ad, fields_i: FieldSet, fields_j: FieldSet) -> np.ndarray:
     """Feature vector for one pair, ordered per FEATURE_NAMES. Symmetric."""
-    return _pair_vector(_AdView(ad_i, fields_i), _AdView(ad_j, fields_j))
+    return PairFeaturizer({0: ad_i, 1: ad_j}, {0: fields_i, 1: fields_j}).features(0, 1)
 
 
 class PairFeaturizer:
-    """Computes pair features with per-ad caching.
+    """Computes pair features from per-ad columns.
 
-    Build once per corpus slice, then call :meth:`features` for each pair
-    or :meth:`matrix` for a batch. Read-only after construction.
+    Build once per corpus slice, then call :meth:`matrix` for a batch of
+    pairs or :meth:`features` for one. ``timings`` accumulates the seconds
+    spent on the LCS column and on the other columns.
     """
 
     def __init__(self, ads_by_id: dict[str, Ad], fieldsets: dict[str, FieldSet]):
-        self._views: dict[str, _AdView] = {}
-        for ad_id, ad in ads_by_id.items():
-            fs = fieldsets.get(ad_id)
-            if fs is None:
-                fs = FieldSet()
-            self._views[ad_id] = _AdView(ad, fs)
+        ads = list(ads_by_id.values())
+        fss = [fieldsets.get(ad_id) or FieldSet() for ad_id in ads_by_id]
+        self._index = {ad_id: k for k, ad_id in enumerate(ads_by_id)}
+        self.timings = {"lcs_s": 0.0, "columns_s": 0.0}
 
-    def features(self, id_i: str, id_j: str) -> np.ndarray:
-        return _pair_vector(self._views[id_i], self._views[id_j])
+        self._state = _category_codes([ad.state for ad in ads])
+        self._city = _category_codes([ad.city for ad in ads])
+        self._special = np.array([special_char_count(ad.text) for ad in ads], dtype=np.int64)
+        self._posted = np.array([ad.posted_at for ad in ads], dtype=np.int64)
+        self._day = self._posted // 86_400  # the UTC calendar day
+        # presence flags: ethnicity, cost, restriction, name
+        self._flags = np.array([[bool(fs.ethnicities), bool(fs.costs), bool(fs.restrictions),
+                                 bool(fs.names)] for fs in fss], dtype=np.float64).reshape(-1, 4)
+        self._tokens = [frozenset(tokenize(ad.text)[0]) for ad in ads]
+        self._n_tokens = np.array([len(t) for t in self._tokens], dtype=np.int64)
+        self._images = [ad.image_hashes for ad in ads]
+        self._names = [frozenset(fs.names) for fs in fss]
+        self._costs = [frozenset(fs.costs) for fs in fss]
+
+        # LCS: every clipped text as dense symbol codes, back to back
+        texts = [ad.text[:LCS_MAX_CHARS] for ad in ads]
+        alphabet = sorted(set().union(*texts))
+        code_of = {ch: k for k, ch in enumerate(alphabet)}
+        self._width = len(alphabet)
+        self._text_len = np.array([len(t) for t in texts], dtype=np.int64)
+        self._text_start = np.cumsum(self._text_len) - self._text_len
+        dtype = np.uint8 if len(alphabet) <= 256 else np.uint16 if len(alphabet) <= 65536 else np.uint32
+        self._codes = np.fromiter((code_of[ch] for text in texts for ch in text),
+                                  dtype=dtype, count=int(self._text_len.sum()))
+
+    def features(self, id_i, id_j) -> np.ndarray:
+        return self.matrix([(id_i, id_j)])[0]
 
     def matrix(self, pairs) -> np.ndarray:
-        """Rows equal to :meth:`features` for each pair, in input order."""
-        views = [(self._views[i], self._views[j]) for i, j in pairs]
-        if not views:
-            return np.empty((0, len(FEATURE_NAMES)), dtype=np.float64)
-        if _lcs_arrays is not _lcs_arrays_numpy:  # the jit kernel scores pairwise
-            return np.vstack([_pair_vector(vi, vj) for vi, vj in views])
-        out = np.vstack([_pair_vector(vi, vj, with_lcs=False) for vi, vj in views])
-        out[:, _LCS_COLUMN] = _lcs_batch_numpy([vi.codepoints for vi, _ in views],
-                                               [vj.codepoints for _, vj in views])
+        """One feature row per pair, in input order."""
+        ij = np.fromiter(map(self._index.__getitem__, chain.from_iterable(pairs)),
+                         dtype=np.int64).reshape(-1, 2)
+        out = np.empty((len(ij), len(FEATURE_NAMES)), dtype=np.float64)
+        t0 = time.perf_counter()
+        self._columns(ij[:, 0], ij[:, 1], out)
+        t1 = time.perf_counter()
+        out[:, _LCS_COLUMN] = self._lcs(ij[:, 0], ij[:, 1])
+        self.timings["columns_s"] += t1 - t0
+        self.timings["lcs_s"] += time.perf_counter() - t1
         return out
+
+    def _columns(self, I: np.ndarray, J: np.ndarray, out: np.ndarray) -> None:
+        """Every column but the LCS, in FEATURE_NAMES order."""
+        tokens, images, names, costs = self._tokens, self._images, self._names, self._costs
+        shared = np.fromiter(chain.from_iterable(
+            (len(tokens[i] & tokens[j]), len(images[i] & images[j]),
+             not names[i].isdisjoint(names[j]), not costs[i].isdisjoint(costs[j]))
+            for i, j in zip(I.tolist(), J.tolist())
+        ), dtype=np.int64, count=4 * len(I)).reshape(-1, 4)
+        inter = shared[:, 0]
+        union = self._n_tokens[I] + self._n_tokens[J] - inter
+
+        state_i, city_i = self._state[I], self._city[I]
+        out[:, 0] = (state_i == self._state[J]) & (state_i >= 0)
+        out[:, 1] = (city_i == self._city[J]) & (city_i >= 0)
+        special_i, special_j = self._special[I], self._special[J]
+        out[:, 2] = np.minimum(special_i, special_j)
+        out[:, 3] = np.maximum(special_i, special_j)
+        out[:, 5] = union
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[:, 6] = np.where(union > 0, inter / union, 1.0)  # both empty: identical
+        out[:, 7] = np.abs(self._posted[I] - self._posted[J])
+        out[:, 8] = self._day[I] == self._day[J]
+        out[:, 9] = shared[:, 1]
+        flags_i, flags_j = self._flags[I], self._flags[J]
+        out[:, 10:18:2] = np.minimum(flags_i, flags_j)
+        out[:, 11:18:2] = np.maximum(flags_i, flags_j)
+        out[:, 18:20] = shared[:, 2:4]
+
+    def _lcs(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """LCS length of each pair ``(I[k], J[k])`` of ad indices."""
+        out = np.zeros(len(I), dtype=np.int64)
+        if len(I) == 0 or self._width == 0:
+            return out
+        # the ad that appears more often in this call is the automaton side
+        count = np.bincount(np.concatenate([I, J]))
+        count_i, count_j = count[I], count[J]
+        swap = (count_j > count_i) | ((count_j == count_i) & (J < I))
+        owner = np.where(swap, J, I)
+        partner = np.where(swap, I, J)
+        order = np.argsort(owner, kind="stable")
+        owned = owner[order]
+        first = np.flatnonzero(np.diff(owned, prepend=-1, append=-1))  # each owner's rows start
+        owners = owned[first[:-1]]
+
+        start = 0
+        chunk = _Automata()
+        for k, ad in enumerate(owners.tolist()):
+            s0 = int(self._text_start[ad])
+            sam = _suffix_automaton(self._codes[s0:s0 + int(self._text_len[ad])].tolist())
+            if chunk.sizes and _table_bytes(chunk.n_states + len(sam[0]), self._width) > LCS_TABLE_BYTES:
+                self._score_chunk(chunk, order[first[start]:first[k]], first[start:k + 1],
+                                  partner, out)
+                chunk, start = _Automata(), k
+            chunk.add(sam)
+        self._score_chunk(chunk, order[first[start]:], first[start:], partner, out)
+        return out
+
+    def _score_chunk(self, chunk: _Automata, rows: np.ndarray, bounds: np.ndarray,
+                     partner: np.ndarray, out: np.ndarray) -> None:
+        """Walk ``rows``, grouped by automaton at ``bounds``, through ``chunk``."""
+        table = chunk.complete(self._width)
+        starts = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        ads = partner[rows]
+        by_len = np.argsort(-self._text_len[ads], kind="stable")
+        rows, starts, ads = rows[by_len], starts[by_len], ads[by_len]
+        out[rows] = _walk(table, starts, self._codes, self._text_start[ads], self._text_len[ads])

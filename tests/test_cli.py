@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from adlink import pairfeat
-from adlink.cli import artifact_digests, main
+from adlink.cli import STAGE_ORDER, artifact_digests, main
 from adlink.clusterfeat import CLUSTER_FEATURE_NAMES, CLUSTER_SCHEMA_VERSION
 from adlink.config import load_config
 from adlink.resolve import connected_components
@@ -299,10 +299,25 @@ def test_sweep_rows_match_components_of_the_edge_list(tiny_pipeline):
 def test_metrics_record_layer_timings(tiny_pipeline):
     stages = json.loads((tiny_pipeline / "metrics.json").read_text())["stages"]
     assert set(stages["train"]["layers"]) == {"fit_heldout_s", "fit_full_s", "predict_s"}
-    assert set(stages["sweep"]["layers"]) == {"score_s", "curve_s"}
-    for stage in ("train", "sweep"):
+    assert set(stages["features"]["layers"]) == {"lcs_s", "columns_s"}
+    assert set(stages["sweep"]["layers"]) == {
+        "score_s", "curve_s", "score_s.lcs_s", "score_s.columns_s", "score_s.predict_s"}
+    for stage in ("features", "train", "sweep"):
         layers = stages[stage]["layers"]
         assert all(seconds >= 0.0 for seconds in layers.values())
-        assert sum(layers.values()) <= stages[stage]["seconds"] + 0.01
+        top = {name: s for name, s in layers.items() if "." not in name}
+        assert sum(top.values()) <= stages[stage]["seconds"] + 0.01
+        for name, seconds in top.items():  # the parts of a layer fit inside it
+            parts = [s for part, s in layers.items() if part.startswith(name + ".")]
+            assert sum(parts) <= seconds + 0.01
     assert stages["resolve"]["layers"] == {}
     assert all(isinstance(s["seconds"], float) for s in stages.values())
+
+
+def test_metrics_record_peak_rss_per_stage(tiny_pipeline):
+    metrics = json.loads((tiny_pipeline / "metrics.json").read_text())
+    assert "never falls" in metrics["peak_rss_mb"]
+    # stages run in order within one process, so the peak so far never falls
+    peaks = [metrics["stages"][stage]["peak_rss_mb"] for stage in STAGE_ORDER[1:]]
+    assert peaks[0] > 10.0
+    assert peaks == sorted(peaks)

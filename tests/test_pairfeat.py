@@ -1,21 +1,26 @@
+import random
 import string
+from datetime import datetime, timezone
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adlink import pairfeat
 from adlink.corpus import Ad
-from adlink.extract import extract_fields
+from adlink.extract import FieldSet, extract_fields, special_char_count, tokenize
 from adlink.pairfeat import (
     FEATURE_NAMES,
     LCS_MAX_CHARS,
     PairFeaturizer,
     _codepoints,
+    _lcs_arrays,
     _lcs_arrays_numpy,
-    _lcs_batch_numpy,
     compute_pair_features,
     longest_common_substring,
 )
+from adlink.surrogate import jaccard_unigram
 
 
 def lcs_oracle(a: str, b: str) -> int:
@@ -205,7 +210,118 @@ def test_empty_matrix():
     assert fz.matrix([]).shape == (0, len(FEATURE_NAMES))
 
 
-# --- batched LCS kernel ----------------------------------------------------------
+# --- reference kernels -------------------------------------------------------------
+#
+# The per-pair feature vector and the batched rolling-row LCS DP that
+# PairFeaturizer.matrix used before its columnar, suffix-automaton form. They
+# are kept here, unchanged, as the oracles the columns and the LCS column
+# must equal byte for byte.
+
+def _pad_rows(arrays: list[np.ndarray], width: int, fill: int) -> np.ndarray:
+    out = np.full((len(arrays), width), fill, dtype=np.int32)
+    for row, arr in enumerate(arrays):
+        out[row, :len(arr)] = arr
+    return out
+
+
+def _lcs_batch_numpy(xs_seq, ys_seq, batch_size: int = 256) -> np.ndarray:
+    """LCS length of each pair ``(xs_seq[k], ys_seq[k])``; equals ``_lcs_arrays_numpy``.
+
+    Each pair is oriented so the DP iterates over its shorter side, pairs are
+    sorted by length so a batch carries little padding, and the two sides pad
+    with distinct negative sentinels (codepoints are >= 0), so padding never
+    matches. The rolling-row DP then runs over a whole ``(batch, L)`` array.
+    """
+    short, long_ = [], []
+    for xs, ys in zip(xs_seq, ys_seq):
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        short.append(xs)
+        long_.append(ys)
+    n_short = np.array([len(s) for s in short], dtype=np.int64)
+    n_long = np.array([len(s) for s in long_], dtype=np.int64)
+    order = np.lexsort((n_short, n_long))
+    out = np.zeros(len(short), dtype=np.int64)
+    for start in range(0, len(order), batch_size):
+        rows = order[start:start + batch_size]
+        width_s = int(n_short[rows].max())
+        if width_s == 0:
+            continue
+        width_l = int(n_long[rows].max())
+        xs = _pad_rows([short[k] for k in rows], width_s, -1)
+        ys = _pad_rows([long_[k] for k in rows], width_l, -2)
+        # DP cells never exceed the shorter length, LCS_MAX_CHARS for clipped texts
+        dtype = np.int16 if width_s < np.iinfo(np.int16).max else np.int32
+        prev = np.zeros((len(rows), width_l + 1), dtype=dtype)
+        cur = np.zeros_like(prev)
+        best = np.zeros((len(rows), width_l), dtype=dtype)
+        match = np.empty((len(rows), width_l), dtype=bool)
+        for col in range(width_s):
+            np.equal(ys, xs[:, col:col + 1], out=match)
+            np.add(prev[:, :-1], 1, out=cur[:, 1:])
+            cur[:, 1:] *= match
+            np.maximum(best, cur[:, 1:], out=best)
+            prev, cur = cur, prev
+        out[rows] = best.max(axis=1)
+    return out
+
+
+def _utc_date(epoch: int):
+    return datetime.fromtimestamp(epoch, tz=timezone.utc).date()
+
+
+class _AdView:
+    """Per-ad derived values, computed once."""
+
+    __slots__ = (
+        "state", "city", "posted_at", "date", "special", "tokens",
+        "codepoints", "images", "names", "costs", "has_ethnicity",
+        "has_cost", "has_restriction", "has_name",
+    )
+
+    def __init__(self, ad: Ad, fs: FieldSet):
+        self.state = ad.state
+        self.city = ad.city
+        self.posted_at = ad.posted_at
+        self.date = _utc_date(ad.posted_at)
+        self.special = special_char_count(ad.text)
+        self.tokens = frozenset(tokenize(ad.text)[0])
+        self.codepoints = _codepoints(ad.text)
+        self.images = ad.image_hashes
+        self.names = frozenset(fs.names)
+        self.costs = frozenset(fs.costs)
+        self.has_ethnicity = 1.0 if fs.ethnicities else 0.0
+        self.has_cost = 1.0 if fs.costs else 0.0
+        self.has_restriction = 1.0 if fs.restrictions else 0.0
+        self.has_name = 1.0 if fs.names else 0.0
+
+
+def _pair_vector(vi: _AdView, vj: _AdView, with_lcs: bool = True) -> np.ndarray:
+    out = np.empty(len(FEATURE_NAMES), dtype=np.float64)
+    out[0] = 1.0 if (vi.state and vi.state == vj.state) else 0.0
+    out[1] = 1.0 if (vi.city and vi.city == vj.city) else 0.0
+    out[2] = min(vi.special, vj.special)
+    out[3] = max(vi.special, vj.special)
+    out[4] = _lcs_arrays(vi.codepoints, vj.codepoints) if with_lcs else 0.0
+    out[5] = len(vi.tokens | vj.tokens)
+    out[6] = jaccard_unigram(vi.tokens, vj.tokens)
+    out[7] = abs(vi.posted_at - vj.posted_at)
+    out[8] = 1.0 if vi.date == vj.date else 0.0
+    out[9] = len(vi.images & vj.images)
+    out[10] = min(vi.has_ethnicity, vj.has_ethnicity)
+    out[11] = max(vi.has_ethnicity, vj.has_ethnicity)
+    out[12] = min(vi.has_cost, vj.has_cost)
+    out[13] = max(vi.has_cost, vj.has_cost)
+    out[14] = min(vi.has_restriction, vj.has_restriction)
+    out[15] = max(vi.has_restriction, vj.has_restriction)
+    out[16] = min(vi.has_name, vj.has_name)
+    out[17] = max(vi.has_name, vj.has_name)
+    out[18] = 1.0 if vi.names & vj.names else 0.0
+    out[19] = 1.0 if vi.costs & vj.costs else 0.0
+    return out
+
+
+# --- the batched DP oracle ---------------------------------------------------------
 
 # non-BMP characters (emoji, math letters) are single codepoints above U+FFFF
 _LCS_ALPHABET = "abc 💋𝒜"
@@ -259,3 +375,181 @@ def test_matrix_equals_rowwise_features(small_corpus, small_fieldsets):
     assert len(lengths) > 50
     expected = np.vstack([fz.features(i, j) for i, j in pairs])
     assert np.array_equal(fz.matrix(pairs), expected)
+
+
+# --- suffix-automaton LCS column -----------------------------------------------------
+
+def text_featurizer(texts):
+    """A featurizer over ads ``0..n-1`` with these texts."""
+    return PairFeaturizer({k: make_ad(str(k), t) for k, t in enumerate(texts)}, {})
+
+
+def lcs_column(fz, pairs):
+    return fz.matrix(pairs)[:, idx("lcs_len")]
+
+
+def dp_lcs(a, b):
+    return _lcs_arrays_numpy(_codepoints(a), _codepoints(b))
+
+
+automaton_text = st.one_of(
+    st.just(""),
+    st.text(alphabet=_LCS_ALPHABET, max_size=64),
+    # runs: a chain of clones, one per length
+    st.builds(lambda ch, n: ch * n, st.sampled_from("a💋"), st.integers(1, 80)),
+    # periodic and clone-heavy (abcbcbc...)
+    st.builds(lambda head, unit, n: head + unit * n, st.text(alphabet="abc", max_size=3),
+              st.text(alphabet="abc", min_size=1, max_size=4), st.integers(1, 20)),
+    # symbols most other texts lack
+    st.text(alphabet="xyz💋", max_size=20),
+    # at (extra 0) and over LCS_MAX_CHARS
+    st.tuples(st.text(alphabet=_LCS_ALPHABET, min_size=1, max_size=6),
+              st.integers(min_value=0, max_value=300)).map(_long_text),
+)
+
+# 1: every automaton a chunk of its own; 20,000: a few per chunk
+table_budget = st.sampled_from([1, 20_000, pairfeat.LCS_TABLE_BYTES])
+
+
+def index_pairs(n):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    min_size=1, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(automaton_text, min_size=1, max_size=6), st.data())
+def test_automaton_lcs_matches_dp_and_enumeration(texts, data):
+    pairs = data.draw(index_pairs(len(texts)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairfeat, "LCS_TABLE_BYTES", data.draw(table_budget))
+        got = lcs_column(text_featurizer(texts), pairs)
+    for (i, j), value in zip(pairs, got):
+        a, b = texts[i], texts[j]
+        assert value == dp_lcs(a, b)
+        if len(a) <= 64 and len(b) <= 64:
+            assert value == lcs_oracle(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(automaton_text, min_size=2, max_size=6), st.data())
+def test_automaton_lcs_independent_of_orientation_order_and_batches(texts, data):
+    pairs = data.draw(index_pairs(len(texts)))
+    perm = data.draw(st.permutations(range(len(pairs))))
+    cut = data.draw(st.integers(0, len(pairs)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairfeat, "LCS_TABLE_BYTES", data.draw(table_budget))
+        fz = text_featurizer(texts)
+        whole = lcs_column(fz, pairs)
+        flipped = lcs_column(fz, [(j, i) for i, j in pairs])
+        shuffled = lcs_column(fz, [pairs[k] for k in perm])
+        split = np.concatenate([lcs_column(fz, pairs[:cut]), lcs_column(fz, pairs[cut:])])
+    assert np.array_equal(whole, flipped)
+    assert np.array_equal(whole[list(perm)], shuffled)
+    assert np.array_equal(whole, split)
+
+
+def spy_tables(monkeypatch):
+    """Record the table of every chunk of automata the kernel completes."""
+    tables = []
+    complete = pairfeat._Automata.complete
+
+    def spy(self, width):
+        tables.append(complete(self, width))
+        return tables[-1]
+
+    monkeypatch.setattr(pairfeat._Automata, "complete", spy)
+    return tables
+
+
+def test_automaton_lcs_across_chunks_equals_batched_dp(small_corpus, small_fieldsets, monkeypatch):
+    ads = {a.id: a for a in small_corpus}
+    ids = sorted(ads)
+    rng = np.random.default_rng(11)
+    pairs = [(ids[i], ids[j]) for i, j in rng.integers(0, len(ids), size=(400, 2))]
+    expected = _lcs_batch_numpy([_codepoints(ads[i].text) for i, _ in pairs],
+                                [_codepoints(ads[j].text) for _, j in pairs])
+    tables = spy_tables(monkeypatch)
+    monkeypatch.setattr(pairfeat, "LCS_TABLE_BYTES", 200_000)
+    got = lcs_column(PairFeaturizer(ads, small_fieldsets), pairs)
+    assert len(tables) > 5
+    assert all(t.nbytes <= 200_000 for t in tables)
+    assert np.array_equal(got, expected)
+
+
+def test_automaton_lcs_wide_alphabet_and_wide_state_ids(monkeypatch):
+    rng = random.Random(3)
+    # more than 256 symbols: the codes no longer fit a byte
+    cjk = [chr(0x4E00 + k) for k in range(300)]
+    wide = ["".join(rng.choice(cjk) for _ in range(150)) for _ in range(4)]
+    wide[1] = wide[1][:40] + wide[0][30:95] + wide[1][40:]
+    # two symbols and long texts: one chunk with more states than int16 ids reach
+    binary = ["".join(rng.choice("ab") for _ in range(LCS_MAX_CHARS + 50)) for _ in range(10)]
+    binary[3] = binary[2][700:1500] + binary[3]
+    tables = spy_tables(monkeypatch)
+    for texts in (wide, binary):
+        pairs = [(i, j) for i in range(len(texts)) for j in range(i, len(texts), 3)]
+        got = lcs_column(text_featurizer(texts), pairs)
+        assert got.tolist() == [dp_lcs(texts[i], texts[j]) for i, j in pairs]
+    assert text_featurizer(wide)._codes.dtype == np.uint16
+    assert tables[-1].dtype == np.int32
+
+
+def test_automaton_lcs_reaches_the_cap_and_ignores_empty_sides():
+    a = _long_text(("ab", 50))
+    b = _long_text(("ab", 7))
+    fz = text_featurizer([a, b, "", "zzz"])
+    assert lcs_column(fz, [(0, 1), (1, 0), (0, 2), (2, 2), (2, 3), (3, 0)]).tolist() == \
+        [LCS_MAX_CHARS, LCS_MAX_CHARS, 0, 0, 0, 0]
+
+
+# --- the other columns against the per-pair reference ------------------------------
+
+def edge_case_ads():
+    """Ads with empty state and city, no tokens, no fieldset and no images."""
+    return [
+        make_ad("e0", "!! ?? ..", state="", city=""),
+        make_ad("e1", "- + - x", state="", city=""),
+        make_ad("e2", "", state="FL", city=""),
+        make_ad("e3", "im candy $200/hr latina", state="", city="miami"),
+        make_ad("e4", "plain ad no images", posted=1456876740),
+    ]
+
+
+def test_matrix_equals_reference_vectors(small_corpus, small_fieldsets):
+    ads = list(small_corpus) + edge_case_ads()
+    # every fifth ad has no fieldset, as do the edge cases
+    fieldsets = {a.id: small_fieldsets[a.id] for k, a in enumerate(small_corpus) if k % 5}
+    ads_by_id = {a.id: a for a in ads}
+    views = {a.id: _AdView(a, fieldsets.get(a.id, FieldSet())) for a in ads}
+    ids = sorted(ads_by_id)
+    rng = np.random.default_rng(17)
+    pairs = [(ids[i], ids[j]) for i, j in rng.integers(0, len(ids), size=(400, 2))]
+    edge = [a.id for a in edge_case_ads()]
+    pairs += [(i, j) for i in edge for j in edge + ids[:10]]
+    pairs += [(j, i) for i, j in pairs]  # both orientations
+    got = PairFeaturizer(ads_by_id, fieldsets).matrix(pairs)
+    expected = np.vstack([_pair_vector(views[i], views[j]) for i, j in pairs])
+    assert got.tobytes() == expected.tobytes()
+    # the edge cases are there: both sides without tokens, unmatched empty states
+    jac, state = got[:, idx("jaccard_unigram")], got[:, idx("same_state")]
+    assert any(j == 1.0 and u == 0.0 for j, u in zip(jac, got[:, idx("unique_tokens")]))
+    assert (state[[k for k, (i, j) in enumerate(pairs) if i == j == "e0"]] == 0.0).all()
+
+
+def test_features_is_one_row_of_matrix(small_corpus, small_fieldsets):
+    ads = {a.id: a for a in small_corpus[:20]}
+    fz = PairFeaturizer(ads, small_fieldsets)
+    ids = sorted(ads)
+    for i, j in zip(ids, ids[3:] + ids[:3]):
+        assert fz.features(i, j).tobytes() == fz.matrix([(i, j)])[0].tobytes()
+
+
+def test_matrix_accumulates_layer_timings(small_corpus, small_fieldsets):
+    ads = {a.id: a for a in small_corpus[:20]}
+    fz = PairFeaturizer(ads, small_fieldsets)
+    assert fz.timings == {"lcs_s": 0.0, "columns_s": 0.0}
+    ids = sorted(ads)
+    fz.matrix(list(zip(ids, ids[1:])))
+    first = dict(fz.timings)
+    fz.matrix(list(zip(ids, ids[2:])))
+    assert all(0.0 < first[k] < fz.timings[k] for k in first)
