@@ -207,8 +207,10 @@ class _Automata:
         self.symbol.append(np.fromiter(chain.from_iterable(trans), dtype=np.int64))
         self.target.append(np.fromiter(chain.from_iterable(map(dict.values, trans)), dtype=np.int16))
 
-    def complete(self, width: int) -> np.ndarray:
+    def complete(self, column: np.ndarray, width: int) -> np.ndarray:
         """The ``(states, width, 2)`` table: next state, then fail length.
+
+        ``column`` maps each symbol code to its column of the table.
 
         States are renumbered by depth in the suffix-link tree, so each level
         is a block of rows that inherits the rows of the level above.
@@ -245,7 +247,7 @@ class _Automata:
                                degree)
         edge_order += np.arange(len(edge_order))
         src = np.repeat(np.arange(n), degree)
-        symbol = np.concatenate(self.symbol)[edge_order]
+        symbol = column[np.concatenate(self.symbol)[edge_order]]
         target = np.empty((len(src), 2), dtype=dtype)
         target[:, 0] = rank[np.concatenate(self.target)[edge_order] + np.repeat(offset[order], degree)]
         target[:, 1] = _DIRECT
@@ -266,13 +268,14 @@ class _Automata:
         return table
 
 
-def _walk(table: np.ndarray, starts: np.ndarray, codes: np.ndarray,
+def _walk(table: np.ndarray, column: np.ndarray, starts: np.ndarray, codes: np.ndarray,
           text_start: np.ndarray, text_len: np.ndarray) -> np.ndarray:
     """Longest match of each text against its automaton, all texts in lockstep.
 
-    Row k walks ``codes[text_start[k]:text_start[k] + text_len[k]]`` from
-    state ``starts[k]``; rows must be sorted by ``text_len``, longest first,
-    so the rows still walking are always a prefix.
+    Row k walks ``codes[text_start[k]:text_start[k] + text_len[k]]``, each
+    code read in table column ``column[code]``, from state ``starts[k]``;
+    rows must be sorted by ``text_len``, longest first, so the rows still
+    walking are always a prefix.
     """
     n = len(starts)
     width = table.shape[1]
@@ -288,15 +291,17 @@ def _walk(table: np.ndarray, starts: np.ndarray, codes: np.ndarray,
     pos = text_start.copy()
     cell = np.empty(n, dtype=np.intp)
     code = np.empty(n, dtype=codes.dtype)
+    col = np.empty(n, dtype=column.dtype)
     t = 0
     for end in sorted(set(text_len.tolist())):  # the rows at least `end` long are a prefix
         k = n - int(np.searchsorted(text_len[::-1], end))
         s_, f_, m_, b_ = state[:k], fail[:k], match[:k], best[:k]
-        p_, c_, x_, o_ = pos[:k], cell[:k], code[:k], looked[:k]
+        p_, c_, x_, y_, o_ = pos[:k], cell[:k], code[:k], col[:k], looked[:k]
         for _ in range(t, end):
             codes.take(p_, out=x_)
+            column.take(x_, out=y_)
             np.multiply(s_, width, out=c_, dtype=np.intp)
-            np.add(c_, x_, out=c_)
+            np.add(c_, y_, out=c_)
             cells.take(c_, out=o_)
             p_ += 1
             m_ += 1
@@ -424,23 +429,37 @@ class PairFeaturizer:
 
         start = 0
         chunk = _Automata()
+        present = np.zeros(self._width, dtype=bool)  # the symbols of the chunk's texts
         for k, ad in enumerate(owners.tolist()):
-            s0 = int(self._text_start[ad])
-            sam = _suffix_automaton(self._codes[s0:s0 + int(self._text_len[ad])].tolist())
-            if chunk.sizes and _table_bytes(chunk.n_states + len(sam[0]), self._width) > LCS_TABLE_BYTES:
-                self._score_chunk(chunk, order[first[start]:first[k]], first[start:k + 1],
-                                  partner, out)
-                chunk, start = _Automata(), k
+            text = self._codes[self._text_start[ad]:self._text_start[ad] + self._text_len[ad]]
+            sam = _suffix_automaton(text.tolist())
+            symbols = np.zeros(self._width, dtype=bool)
+            symbols[text] = True
+            grown = present | symbols
+            if chunk.sizes and _table_bytes(chunk.n_states + len(sam[0]),
+                                            int(grown.sum()) + 1) > LCS_TABLE_BYTES:
+                self._score_chunk(chunk, present, order[first[start]:first[k]],
+                                  first[start:k + 1], partner, out)
+                chunk, start, grown = _Automata(), k, symbols
             chunk.add(sam)
-        self._score_chunk(chunk, order[first[start]:], first[start:], partner, out)
+            present = grown
+        self._score_chunk(chunk, present, order[first[start]:], first[start:], partner, out)
         return out
 
-    def _score_chunk(self, chunk: _Automata, rows: np.ndarray, bounds: np.ndarray,
-                     partner: np.ndarray, out: np.ndarray) -> None:
-        """Walk ``rows``, grouped by automaton at ``bounds``, through ``chunk``."""
-        table = chunk.complete(self._width)
+    def _score_chunk(self, chunk: _Automata, present: np.ndarray, rows: np.ndarray,
+                     bounds: np.ndarray, partner: np.ndarray, out: np.ndarray) -> None:
+        """Walk ``rows``, grouped by automaton at ``bounds``, through ``chunk``.
+
+        The table has a column per symbol of the chunk's texts and one last
+        column for every other symbol, which no automaton state has an edge on.
+        """
+        symbols = np.flatnonzero(present)
+        column = np.full(self._width, len(symbols), dtype=np.intp)
+        column[symbols] = np.arange(len(symbols))
+        table = chunk.complete(column, len(symbols) + 1)
         starts = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         ads = partner[rows]
         by_len = np.argsort(-self._text_len[ads], kind="stable")
         rows, starts, ads = rows[by_len], starts[by_len], ads[by_len]
-        out[rows] = _walk(table, starts, self._codes, self._text_start[ads], self._text_len[ads])
+        out[rows] = _walk(table, column, starts, self._codes, self._text_start[ads],
+                          self._text_len[ads])

@@ -453,8 +453,8 @@ def spy_tables(monkeypatch):
     tables = []
     complete = pairfeat._Automata.complete
 
-    def spy(self, width):
-        tables.append(complete(self, width))
+    def spy(self, column, width):
+        tables.append(complete(self, column, width))
         return tables[-1]
 
     monkeypatch.setattr(pairfeat._Automata, "complete", spy)
@@ -492,6 +492,25 @@ def test_automaton_lcs_wide_alphabet_and_wide_state_ids(monkeypatch):
         assert got.tolist() == [dp_lcs(texts[i], texts[j]) for i, j in pairs]
     assert text_featurizer(wide)._codes.dtype == np.uint16
     assert tables[-1].dtype == np.int32
+
+
+def test_automaton_tables_have_a_column_per_symbol_of_their_chunk(monkeypatch):
+    texts = ["abcabcab", "xyzzy", "".join(chr(0x4E00 + k) for k in range(300)) + "abc"]
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 0)]
+    tables = spy_tables(monkeypatch)
+    monkeypatch.setattr(pairfeat, "LCS_TABLE_BYTES", 1)  # one automaton per chunk
+    got = lcs_column(text_featurizer(texts), pairs)
+    assert got.tolist() == [0, 3, 0, 8]
+    # automata of "abcabcab" and "xyzzy": a column per own symbol, one for the rest
+    assert [t.shape[1] for t in tables] == [4, 4]
+
+
+def test_automaton_lcs_on_split_states():
+    # reading the second "b" of "abb" splits a state; with a wrong link "bbb" matched 3
+    texts = ["abb", "bbb", "abcbc", "cbcbcb", "aab", "baa"]
+    pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)]
+    got = lcs_column(text_featurizer(texts), pairs)
+    assert got.tolist() == [lcs_oracle(texts[i], texts[j]) for i, j in pairs]
 
 
 def test_automaton_lcs_reaches_the_cap_and_ignores_empty_sides():
