@@ -71,6 +71,9 @@ LCS_TABLE_BYTES = 1 << 20
 # min(l + 1, fail) extends the match along a direct edge.
 _DIRECT = np.iinfo(np.int16).max
 
+# The walk gathers its texts' codes this many (row, step) cells at a time.
+_WALK_BLOCK = 1 << 14
+
 
 def _codepoints(text: str, limit: int = LCS_MAX_CHARS) -> np.ndarray:
     clipped = text[:limit]
@@ -260,7 +263,8 @@ class _Automata:
         for end, e_end in zip(level_end, level_edges):
             if start:  # inherit the link's row, rewriting its direct edges to fail edges
                 block = table[start:end]
-                np.take(table, parent[start:end], axis=0, out=block, mode="clip")
+                # from the rows above only: a source overlapping `out` would be copied
+                np.take(table[:start], parent[start:end], axis=0, out=block, mode="clip")
                 np.minimum(block[:, :, 1], limit[start:end, None], out=block[:, :, 1])
             edges = slice(edge_start, e_end)
             table[src[edges], symbol[edges]] = target[edges]
@@ -288,26 +292,26 @@ def _walk(table: np.ndarray, column: np.ndarray, starts: np.ndarray, codes: np.n
     state[:] = starts
     match = np.zeros(n, dtype=table.dtype)
     best = np.zeros(n, dtype=table.dtype)
-    pos = text_start.copy()
     cell = np.empty(n, dtype=np.intp)
-    code = np.empty(n, dtype=codes.dtype)
-    col = np.empty(n, dtype=column.dtype)
-    t = 0
-    for end in sorted(set(text_len.tolist())):  # the rows at least `end` long are a prefix
-        k = n - int(np.searchsorted(text_len[::-1], end))
-        s_, f_, m_, b_ = state[:k], fail[:k], match[:k], best[:k]
-        p_, c_, x_, y_, o_ = pos[:k], cell[:k], code[:k], col[:k], looked[:k]
-        for _ in range(t, end):
-            codes.take(p_, out=x_)
-            column.take(x_, out=y_)
+    steps = int(text_len[0])
+    walking = (n - np.searchsorted(text_len[::-1], np.arange(steps), side="right")).tolist()
+    t = k = 0
+    while t < steps:
+        # the table columns of the next steps' codes, one row per step; a text
+        # that ends within the block reads on into the next, unused
+        block = np.arange(t, min(steps, t + max(1, _WALK_BLOCK // walking[t])))
+        cols = column.take(codes.take(text_start[:walking[t]] + block[:, None], mode="clip"))
+        for col in cols:
+            if walking[t] != k:
+                k = walking[t]
+                s_, f_, m_, b_, c_, o_ = state[:k], fail[:k], match[:k], best[:k], cell[:k], looked[:k]
             np.multiply(s_, width, out=c_, dtype=np.intp)
-            np.add(c_, y_, out=c_)
+            np.add(c_, col[:k], out=c_)
             cells.take(c_, out=o_)
-            p_ += 1
             m_ += 1
             np.minimum(m_, f_, out=m_)
             np.maximum(b_, m_, out=b_)
-        t = end
+            t += 1
     return best
 
 
@@ -358,14 +362,17 @@ class PairFeaturizer:
 
         # LCS: every clipped text as dense symbol codes, back to back
         texts = [ad.text[:LCS_MAX_CHARS] for ad in ads]
-        alphabet = sorted(set().union(*texts))
-        code_of = {ch: k for k, ch in enumerate(alphabet)}
+        alphabet = np.array(sorted(map(ord, set().union(*texts))), dtype=np.int64)
         self._width = len(alphabet)
         self._text_len = np.array([len(t) for t in texts], dtype=np.int64)
         self._text_start = np.cumsum(self._text_len) - self._text_len
         dtype = np.uint8 if len(alphabet) <= 256 else np.uint16 if len(alphabet) <= 65536 else np.uint32
-        self._codes = np.fromiter((code_of[ch] for text in texts for ch in text),
-                                  dtype=dtype, count=int(self._text_len.sum()))
+        code_of = np.zeros(alphabet[-1] + 1 if len(alphabet) else 0, dtype=dtype)
+        code_of[alphabet] = np.arange(len(alphabet))
+        self._codes = np.empty(int(self._text_len.sum()), dtype=dtype)
+        for text, start, n in zip(texts, self._text_start.tolist(), self._text_len.tolist()):
+            code_of.take(np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32),
+                         out=self._codes[start:start + n])
 
     def features(self, id_i, id_j) -> np.ndarray:
         return self.matrix([(id_i, id_j)])[0]
@@ -422,38 +429,41 @@ class PairFeaturizer:
         swap = (count_j > count_i) | ((count_j == count_i) & (J < I))
         owner = np.where(swap, J, I)
         partner = np.where(swap, I, J)
-        order = np.argsort(owner, kind="stable")
+        # a chunk walks as many steps as its longest partner text, so the
+        # automata go into chunks in order of their longest partner
+        longest = np.zeros(len(self._text_len), dtype=np.int64)
+        np.maximum.at(longest, owner, self._text_len[partner])
+        order = np.lexsort((owner, -longest[owner]))
         owned = owner[order]
         first = np.flatnonzero(np.diff(owned, prepend=-1, append=-1))  # each owner's rows start
         owners = owned[first[:-1]]
 
         start = 0
         chunk = _Automata()
-        present = np.zeros(self._width, dtype=bool)  # the symbols of the chunk's texts
-        for k, ad in enumerate(owners.tolist()):
-            text = self._codes[self._text_start[ad]:self._text_start[ad] + self._text_len[ad]]
-            sam = _suffix_automaton(text.tolist())
-            symbols = np.zeros(self._width, dtype=bool)
-            symbols[text] = True
-            grown = present | symbols
+        present: set[int] = set()  # the symbols of the chunk's texts
+        spans = zip(self._text_start[owners].tolist(), self._text_len[owners].tolist())
+        for k, (text_start, text_len) in enumerate(spans):
+            text = self._codes[text_start:text_start + text_len].tolist()
+            sam = _suffix_automaton(text)
+            grown = present.union(text)
             if chunk.sizes and _table_bytes(chunk.n_states + len(sam[0]),
-                                            int(grown.sum()) + 1) > LCS_TABLE_BYTES:
+                                            len(grown) + 1) > LCS_TABLE_BYTES:
                 self._score_chunk(chunk, present, order[first[start]:first[k]],
                                   first[start:k + 1], partner, out)
-                chunk, start, grown = _Automata(), k, symbols
+                chunk, start, grown = _Automata(), k, set(text)
             chunk.add(sam)
             present = grown
         self._score_chunk(chunk, present, order[first[start]:], first[start:], partner, out)
         return out
 
-    def _score_chunk(self, chunk: _Automata, present: np.ndarray, rows: np.ndarray,
+    def _score_chunk(self, chunk: _Automata, present: set[int], rows: np.ndarray,
                      bounds: np.ndarray, partner: np.ndarray, out: np.ndarray) -> None:
         """Walk ``rows``, grouped by automaton at ``bounds``, through ``chunk``.
 
         The table has a column per symbol of the chunk's texts and one last
         column for every other symbol, which no automaton state has an edge on.
         """
-        symbols = np.flatnonzero(present)
+        symbols = np.fromiter(present, dtype=np.intp, count=len(present))
         column = np.full(self._width, len(symbols), dtype=np.intp)
         column[symbols] = np.arange(len(symbols))
         table = chunk.complete(column, len(symbols) + 1)

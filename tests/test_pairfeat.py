@@ -392,7 +392,11 @@ def dp_lcs(a, b):
     return _lcs_arrays_numpy(_codepoints(a), _codepoints(b))
 
 
+# two symbols: most prefixes split a state, so a walk often crosses a clone
+binary_text = st.text(alphabet="ab", max_size=12)
+
 automaton_text = st.one_of(
+    binary_text,
     st.just(""),
     st.text(alphabet=_LCS_ALPHABET, max_size=64),
     # runs: a chain of clones, one per length
@@ -417,7 +421,8 @@ def index_pairs(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(automaton_text, min_size=1, max_size=6), st.data())
+@given(st.one_of(st.lists(automaton_text, min_size=1, max_size=6),
+                 st.lists(binary_text, min_size=1, max_size=6)), st.data())
 def test_automaton_lcs_matches_dp_and_enumeration(texts, data):
     pairs = data.draw(index_pairs(len(texts)))
     with pytest.MonkeyPatch.context() as mp:
@@ -506,8 +511,9 @@ def test_automaton_tables_have_a_column_per_symbol_of_their_chunk(monkeypatch):
 
 
 def test_automaton_lcs_on_split_states():
-    # reading the second "b" of "abb" splits a state; with a wrong link "bbb" matched 3
-    texts = ["abb", "bbb", "abcbc", "cbcbcb", "aab", "baa"]
+    # reading the second "b" of "abb" splits a state; without the clone, "ab"'s
+    # state links to it and "bbbbababa" matched 3
+    texts = ["abb", "bbbbababa", "abba", "babbba", "abbbbaa", "abab"]
     pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)]
     got = lcs_column(text_featurizer(texts), pairs)
     assert got.tolist() == [lcs_oracle(texts[i], texts[j]) for i, j in pairs]
@@ -519,6 +525,14 @@ def test_automaton_lcs_reaches_the_cap_and_ignores_empty_sides():
     fz = text_featurizer([a, b, "", "zzz"])
     assert lcs_column(fz, [(0, 1), (1, 0), (0, 2), (2, 2), (2, 3), (3, 0)]).tolist() == \
         [LCS_MAX_CHARS, LCS_MAX_CHARS, 0, 0, 0, 0]
+
+
+def test_automaton_lcs_reads_lone_surrogates():
+    # JSON escapes can put unpaired surrogates into ad text; each is one codepoint
+    texts = ["a\ud800b\udfff", "\ud800b\udfffc", "\udfff"]
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    assert lcs_column(text_featurizer(texts), pairs).tolist() == \
+        [dp_lcs(texts[i], texts[j]) for i, j in pairs] == [3, 1, 1]
 
 
 # --- the other columns against the per-pair reference ------------------------------
