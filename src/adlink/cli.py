@@ -7,8 +7,9 @@ Every stage reads its inputs from the run directory and writes its outputs
 atomically (temp file + rename), so a crashed stage never leaves a partial
 artifact. ``metrics.json`` accumulates per-stage timings (with the hot
 stages' inner layers under ``layers``; ``a.b`` is part ``b`` of layer ``a``),
-counts and peak RSS; it is a log, not a data artifact, and is excluded from
-``digests.json``.
+counts and peak RSS (``peak_rss_mb``, the process's peak at the end of the
+stage, so it never falls within one ``pipeline`` run); it is a log, not a data
+artifact, and is excluded from ``digests.json``.
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 missing prerequisite.
 """
@@ -24,7 +25,6 @@ import itertools
 import json
 import os
 import random
-import resource
 import sys
 import time
 import warnings
@@ -126,13 +126,12 @@ def _require(out: Path, *names: str) -> None:
 _stage_layers: contextvars.ContextVar[dict[str, float]] = contextvars.ContextVar("stage_layers")
 
 
-def _add_layers(seconds: dict[str, float], within: str | None = None) -> None:
-    """Add to the running stage's ``layers``; ``within`` names the layer they are parts of."""
+def _add_layers(seconds: dict[str, float]) -> None:
+    """Add to the running stage's ``layers``."""
     layers = _stage_layers.get(None)
     if layers is not None:
         for name, s in seconds.items():
-            key = f"{within}.{name}" if within else name
-            layers[key] = layers.get(key, 0.0) + s
+            layers[name] = layers.get(name, 0.0) + s
 
 
 @contextlib.contextmanager
@@ -145,9 +144,15 @@ def _layer(name: str):
         _add_layers({name: time.perf_counter() - t0})
 
 
-def _peak_rss_mb() -> float:
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far, in MiB; None where getrusage is missing."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes there, KiB here
+    peak = peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes there, KiB here
+    return round(peak, 1)
 
 
 def _record_metrics(out: Path, stage: str, seconds: float, counts: dict,
@@ -160,12 +165,9 @@ def _record_metrics(out: Path, stage: str, seconds: float, counts: dict,
     data.setdefault("stages", {})[stage] = {
         "seconds": round(seconds, 3), "counts": counts,
         "layers": {name: round(s, 3) for name, s in layers.items()},
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": _peak_rss_mb(),
         "warnings": stage_warnings,
     }
-    data["peak_rss_mb"] = ("each stage's peak_rss_mb is the process's peak resident set, in MiB, "
-                           "at the end of the stage: within one pipeline process it never falls, "
-                           "so a stage shows its own peak only where it raises the value")
     _write_json(path, data)
 
 
@@ -425,12 +427,13 @@ def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
     # every candidate is scored here, once; resolve only applies the threshold
     ad_id = {ad.id: ad.id for ad in ads}  # one string object per id, as blocking makes
     pairs = [(ad_id[r[0]], ad_id[r[1]]) for r in _read_csv(out / "candidates.csv")[1]]
-    parts: dict[str, float] = {}
+    ads_by_id = {ad.id: ad for ad in ads}
     with _layer("score_s"):
-        scored = resolve_mod.score_candidates(model, pairs, {ad.id: ad for ad in ads}, fieldsets,
-                                              timings=parts)
-    _add_layers(parts, within="score_s")
-    del pairs
+        featurizer = pairfeat.PairFeaturizer(ads_by_id, fieldsets)
+        scored = resolve_mod.score_candidates(model, pairs, ads_by_id, fieldsets,
+                                              featurizer=featurizer)
+    _add_layers({f"score_s.{name}": s for name, s in featurizer.timings.items()})
+    del pairs, featurizer
     graph, _ = surrogate.build_strong_graph(
         {ad.id: fieldsets.get(ad.id, extract.FieldSet()).phones for ad in ads}
     )

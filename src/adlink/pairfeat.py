@@ -14,7 +14,8 @@ tables, the way Aho & Corasick (1975) fold their failure function, so each
 (state, symbol) cell holds the next state and the longest match length
 after reading the symbol. Walking the partner text then takes one table
 lookup per character, and a batch of pairs walks in lockstep. The lengths
-are exact, equal to the rolling-row DP in ``_lcs_arrays``.
+are exact: the tests check them against a rolling-row DP and against
+substring enumeration.
 """
 
 from __future__ import annotations
@@ -75,65 +76,9 @@ _DIRECT = np.iinfo(np.int16).max
 _WALK_BLOCK = 1 << 14
 
 
-def _codepoints(text: str, limit: int = LCS_MAX_CHARS) -> np.ndarray:
-    clipped = text[:limit]
-    return np.fromiter(map(ord, clipped), dtype=np.int32, count=len(clipped))
-
-
 def longest_common_substring(a: str, b: str, max_chars: int = LCS_MAX_CHARS) -> int:
     """Length of the longest contiguous shared substring, codepoint-wise."""
-    return _lcs_arrays(_codepoints(a, max_chars), _codepoints(b, max_chars))
-
-
-def _lcs_arrays_numpy(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Rolling-row DP; the fallback when the jit kernel is unavailable."""
-    if len(xs) == 0 or len(ys) == 0:
-        return 0
-    if len(xs) < len(ys):
-        xs, ys = ys, xs  # iterate over the shorter string
-    best = 0
-    prev = np.zeros(len(xs) + 1, dtype=np.int32)
-    cur = np.zeros(len(xs) + 1, dtype=np.int32)
-    for ch in ys:
-        np.add(prev[:-1], 1, out=cur[1:])
-        cur[1:] *= xs == ch
-        m = int(cur.max())
-        if m > best:
-            best = m
-        prev, cur = cur, prev
-    return best
-
-
-try:  # the jit kernel makes the per-pair DP cheap enough for one-off calls
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _lcs_kernel(xs, ys):  # pragma: no cover - exercised via _lcs_arrays
-        n = xs.shape[0]
-        m = ys.shape[0]
-        prev = np.zeros(m + 1, dtype=np.int32)
-        cur = np.zeros(m + 1, dtype=np.int32)
-        best = 0
-        for i in range(n):
-            x = xs[i]
-            for j in range(m):
-                if ys[j] == x:
-                    v = prev[j] + 1
-                    cur[j + 1] = v
-                    if v > best:
-                        best = v
-                else:
-                    cur[j + 1] = 0
-            prev, cur = cur, prev
-        return best
-
-    def _lcs_arrays(xs: np.ndarray, ys: np.ndarray) -> int:
-        if len(xs) == 0 or len(ys) == 0:
-            return 0
-        return int(_lcs_kernel(xs, ys))
-
-except ImportError:  # pragma: no cover
-    _lcs_arrays = _lcs_arrays_numpy
+    return int(_Texts([a[:max_chars], b[:max_chars]]).lcs(np.array([0]), np.array([1]))[0])
 
 
 # --- suffix-automaton LCS ---------------------------------------------------------
@@ -315,53 +260,10 @@ def _walk(table: np.ndarray, column: np.ndarray, starts: np.ndarray, codes: np.n
     return best
 
 
-# --- per-ad columns -----------------------------------------------------------------
+class _Texts:
+    """Texts as dense symbol codes, back to back, and the LCS of pairs of them."""
 
-_LCS_COLUMN = FEATURE_NAMES.index("lcs_len")
-
-
-def _category_codes(values: list[str]) -> np.ndarray:
-    """Dense codes of non-empty strings, -1 for empty ones (which match nothing)."""
-    index: dict[str, int] = {}
-    return np.array([index.setdefault(v, len(index)) if v else -1 for v in values],
-                    dtype=np.int64)
-
-
-def compute_pair_features(ad_i: Ad, ad_j: Ad, fields_i: FieldSet, fields_j: FieldSet) -> np.ndarray:
-    """Feature vector for one pair, ordered per FEATURE_NAMES. Symmetric."""
-    return PairFeaturizer({0: ad_i, 1: ad_j}, {0: fields_i, 1: fields_j}).features(0, 1)
-
-
-class PairFeaturizer:
-    """Computes pair features from per-ad columns.
-
-    Build once per corpus slice, then call :meth:`matrix` for a batch of
-    pairs or :meth:`features` for one. ``timings`` accumulates the seconds
-    spent on the LCS column and on the other columns.
-    """
-
-    def __init__(self, ads_by_id: dict[str, Ad], fieldsets: dict[str, FieldSet]):
-        ads = list(ads_by_id.values())
-        fss = [fieldsets.get(ad_id) or FieldSet() for ad_id in ads_by_id]
-        self._index = {ad_id: k for k, ad_id in enumerate(ads_by_id)}
-        self.timings = {"lcs_s": 0.0, "columns_s": 0.0}
-
-        self._state = _category_codes([ad.state for ad in ads])
-        self._city = _category_codes([ad.city for ad in ads])
-        self._special = np.array([special_char_count(ad.text) for ad in ads], dtype=np.int64)
-        self._posted = np.array([ad.posted_at for ad in ads], dtype=np.int64)
-        self._day = self._posted // 86_400  # the UTC calendar day
-        # presence flags: ethnicity, cost, restriction, name
-        self._flags = np.array([[bool(fs.ethnicities), bool(fs.costs), bool(fs.restrictions),
-                                 bool(fs.names)] for fs in fss], dtype=np.float64).reshape(-1, 4)
-        self._tokens = [frozenset(tokenize(ad.text)[0]) for ad in ads]
-        self._n_tokens = np.array([len(t) for t in self._tokens], dtype=np.int64)
-        self._images = [ad.image_hashes for ad in ads]
-        self._names = [frozenset(fs.names) for fs in fss]
-        self._costs = [frozenset(fs.costs) for fs in fss]
-
-        # LCS: every clipped text as dense symbol codes, back to back
-        texts = [ad.text[:LCS_MAX_CHARS] for ad in ads]
+    def __init__(self, texts: list[str]):
         alphabet = np.array(sorted(map(ord, set().union(*texts))), dtype=np.int64)
         self._width = len(alphabet)
         self._text_len = np.array([len(t) for t in texts], dtype=np.int64)
@@ -374,56 +276,12 @@ class PairFeaturizer:
             code_of.take(np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32),
                          out=self._codes[start:start + n])
 
-    def features(self, id_i, id_j) -> np.ndarray:
-        return self.matrix([(id_i, id_j)])[0]
-
-    def matrix(self, pairs) -> np.ndarray:
-        """One feature row per pair, in input order."""
-        ij = np.fromiter(map(self._index.__getitem__, chain.from_iterable(pairs)),
-                         dtype=np.int64).reshape(-1, 2)
-        out = np.empty((len(ij), len(FEATURE_NAMES)), dtype=np.float64)
-        t0 = time.perf_counter()
-        self._columns(ij[:, 0], ij[:, 1], out)
-        t1 = time.perf_counter()
-        out[:, _LCS_COLUMN] = self._lcs(ij[:, 0], ij[:, 1])
-        self.timings["columns_s"] += t1 - t0
-        self.timings["lcs_s"] += time.perf_counter() - t1
-        return out
-
-    def _columns(self, I: np.ndarray, J: np.ndarray, out: np.ndarray) -> None:
-        """Every column but the LCS, in FEATURE_NAMES order."""
-        tokens, images, names, costs = self._tokens, self._images, self._names, self._costs
-        shared = np.fromiter(chain.from_iterable(
-            (len(tokens[i] & tokens[j]), len(images[i] & images[j]),
-             not names[i].isdisjoint(names[j]), not costs[i].isdisjoint(costs[j]))
-            for i, j in zip(I.tolist(), J.tolist())
-        ), dtype=np.int64, count=4 * len(I)).reshape(-1, 4)
-        inter = shared[:, 0]
-        union = self._n_tokens[I] + self._n_tokens[J] - inter
-
-        state_i, city_i = self._state[I], self._city[I]
-        out[:, 0] = (state_i == self._state[J]) & (state_i >= 0)
-        out[:, 1] = (city_i == self._city[J]) & (city_i >= 0)
-        special_i, special_j = self._special[I], self._special[J]
-        out[:, 2] = np.minimum(special_i, special_j)
-        out[:, 3] = np.maximum(special_i, special_j)
-        out[:, 5] = union
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[:, 6] = np.where(union > 0, inter / union, 1.0)  # both empty: identical
-        out[:, 7] = np.abs(self._posted[I] - self._posted[J])
-        out[:, 8] = self._day[I] == self._day[J]
-        out[:, 9] = shared[:, 1]
-        flags_i, flags_j = self._flags[I], self._flags[J]
-        out[:, 10:18:2] = np.minimum(flags_i, flags_j)
-        out[:, 11:18:2] = np.maximum(flags_i, flags_j)
-        out[:, 18:20] = shared[:, 2:4]
-
-    def _lcs(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """LCS length of each pair ``(I[k], J[k])`` of ad indices."""
+    def lcs(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """LCS length of each pair ``(I[k], J[k])`` of text indices."""
         out = np.zeros(len(I), dtype=np.int64)
         if len(I) == 0 or self._width == 0:
             return out
-        # the ad that appears more often in this call is the automaton side
+        # the text that appears more often in this call is the automaton side
         count = np.bincount(np.concatenate([I, J]))
         count_i, count_j = count[I], count[J]
         swap = (count_j > count_i) | ((count_j == count_i) & (J < I))
@@ -473,3 +331,95 @@ class PairFeaturizer:
         rows, starts, ads = rows[by_len], starts[by_len], ads[by_len]
         out[rows] = _walk(table, column, starts, self._codes, self._text_start[ads],
                           self._text_len[ads])
+
+
+# --- per-ad columns -----------------------------------------------------------------
+
+_LCS_COLUMN = FEATURE_NAMES.index("lcs_len")
+
+
+def _category_codes(values: list[str]) -> np.ndarray:
+    """Dense codes of non-empty strings, -1 for empty ones (which match nothing)."""
+    index: dict[str, int] = {}
+    return np.array([index.setdefault(v, len(index)) if v else -1 for v in values],
+                    dtype=np.int64)
+
+
+def compute_pair_features(ad_i: Ad, ad_j: Ad, fields_i: FieldSet, fields_j: FieldSet) -> np.ndarray:
+    """Feature vector for one pair, ordered per FEATURE_NAMES. Symmetric."""
+    return PairFeaturizer({0: ad_i, 1: ad_j}, {0: fields_i, 1: fields_j}).features(0, 1)
+
+
+class PairFeaturizer:
+    """Computes pair features from per-ad columns.
+
+    Build once per corpus slice, then call :meth:`matrix` for a batch of
+    pairs or :meth:`features` for one. ``timings`` accumulates the seconds
+    spent on the LCS column and on the other columns.
+    """
+
+    def __init__(self, ads_by_id: dict[str, Ad], fieldsets: dict[str, FieldSet]):
+        ads = list(ads_by_id.values())
+        fss = [fieldsets.get(ad_id) or FieldSet() for ad_id in ads_by_id]
+        self._index = {ad_id: k for k, ad_id in enumerate(ads_by_id)}
+        self.timings = {"lcs_s": 0.0, "columns_s": 0.0}
+
+        self._state = _category_codes([ad.state for ad in ads])
+        self._city = _category_codes([ad.city for ad in ads])
+        self._special = np.array([special_char_count(ad.text) for ad in ads], dtype=np.int64)
+        self._posted = np.array([ad.posted_at for ad in ads], dtype=np.int64)
+        self._day = self._posted // 86_400  # the UTC calendar day
+        # presence flags: ethnicity, cost, restriction, name
+        self._flags = np.array([[bool(fs.ethnicities), bool(fs.costs), bool(fs.restrictions),
+                                 bool(fs.names)] for fs in fss], dtype=np.float64).reshape(-1, 4)
+        self._tokens = [frozenset(tokenize(ad.text)[0]) for ad in ads]
+        self._n_tokens = np.array([len(t) for t in self._tokens], dtype=np.int64)
+        self._images = [ad.image_hashes for ad in ads]
+        self._names = [frozenset(fs.names) for fs in fss]
+        self._costs = [frozenset(fs.costs) for fs in fss]
+
+        self._texts = _Texts([ad.text[:LCS_MAX_CHARS] for ad in ads])
+
+    def features(self, id_i, id_j) -> np.ndarray:
+        return self.matrix([(id_i, id_j)])[0]
+
+    def matrix(self, pairs) -> np.ndarray:
+        """One feature row per pair, in input order."""
+        ij = np.fromiter(map(self._index.__getitem__, chain.from_iterable(pairs)),
+                         dtype=np.int64).reshape(-1, 2)
+        out = np.empty((len(ij), len(FEATURE_NAMES)), dtype=np.float64)
+        t0 = time.perf_counter()
+        self._columns(ij[:, 0], ij[:, 1], out)
+        t1 = time.perf_counter()
+        out[:, _LCS_COLUMN] = self._texts.lcs(ij[:, 0], ij[:, 1])
+        self.timings["columns_s"] += t1 - t0
+        self.timings["lcs_s"] += time.perf_counter() - t1
+        return out
+
+    def _columns(self, I: np.ndarray, J: np.ndarray, out: np.ndarray) -> None:
+        """Every column but the LCS, in FEATURE_NAMES order."""
+        tokens, images, names, costs = self._tokens, self._images, self._names, self._costs
+        shared = np.fromiter(chain.from_iterable(
+            (len(tokens[i] & tokens[j]), len(images[i] & images[j]),
+             not names[i].isdisjoint(names[j]), not costs[i].isdisjoint(costs[j]))
+            for i, j in zip(I.tolist(), J.tolist())
+        ), dtype=np.int64, count=4 * len(I)).reshape(-1, 4)
+        inter = shared[:, 0]
+        union = self._n_tokens[I] + self._n_tokens[J] - inter
+
+        state_i, city_i = self._state[I], self._city[I]
+        out[:, 0] = (state_i == self._state[J]) & (state_i >= 0)
+        out[:, 1] = (city_i == self._city[J]) & (city_i >= 0)
+        special_i, special_j = self._special[I], self._special[J]
+        out[:, 2] = np.minimum(special_i, special_j)
+        out[:, 3] = np.maximum(special_i, special_j)
+        out[:, 5] = union
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[:, 6] = np.where(union > 0, inter / union, 1.0)  # both empty: identical
+        out[:, 7] = np.abs(self._posted[I] - self._posted[J])
+        out[:, 8] = self._day[I] == self._day[J]
+        out[:, 9] = shared[:, 1]
+        flags_i, flags_j = self._flags[I], self._flags[J]
+        out[:, 10:18:2] = np.minimum(flags_i, flags_j)
+        out[:, 11:18:2] = np.maximum(flags_i, flags_j)
+        out[:, 18:20] = shared[:, 2:4]

@@ -70,31 +70,24 @@ class SweepResult:
 def score_candidates(model, pairs, ads_by_id: dict[str, Ad],
                      fieldsets: dict[str, FieldSet],
                      featurizer: PairFeaturizer | None = None,
-                     batch_size: int = 4096,
-                     timings: dict[str, float] | None = None) -> list[tuple[str, str, float]]:
+                     batch_size: int = 4096) -> list[tuple[str, str, float]]:
     """One match score per candidate pair, in input order.
 
-    ``timings``, if given, gains the seconds of the call's layers: the
-    featurizer's ``lcs_s`` and ``columns_s``, and ``predict_s``.
+    The seconds spent in ``predict_proba`` accumulate in the featurizer's
+    ``timings`` as ``predict_s``, beside its own ``lcs_s`` and ``columns_s``.
     """
     pairs = list(pairs)
     if not pairs:
         return []
     fz = featurizer or PairFeaturizer(ads_by_id, fieldsets)
-    featurize_before = dict(fz.timings)
-    predict_s = 0.0
     out: list[tuple[str, str, float]] = []
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start:start + batch_size]
         X = fz.matrix(chunk)
         t0 = time.perf_counter()
         scores = predict_proba(model, X)
-        predict_s += time.perf_counter() - t0
+        fz.timings["predict_s"] = fz.timings.get("predict_s", 0.0) + time.perf_counter() - t0
         out.extend((i, j, float(s)) for (i, j), s in zip(chunk, scores))
-    if timings is not None:
-        spent = {name: fz.timings[name] - s for name, s in featurize_before.items()}
-        for name, s in [*spent.items(), ("predict_s", predict_s)]:
-            timings[name] = timings.get(name, 0.0) + s
     return out
 
 

@@ -14,9 +14,6 @@ from adlink.pairfeat import (
     FEATURE_NAMES,
     LCS_MAX_CHARS,
     PairFeaturizer,
-    _codepoints,
-    _lcs_arrays,
-    _lcs_arrays_numpy,
     compute_pair_features,
     longest_common_substring,
 )
@@ -202,7 +199,10 @@ def test_vector_matches_schema_order(small_corpus, small_fieldsets):
     assert m.shape == (2, len(FEATURE_NAMES))
     direct = compute_pair_features(ads[ids[0]], ads[ids[1]],
                                    small_fieldsets[ids[0]], small_fieldsets[ids[1]])
-    assert np.array_equal(m[0], direct)
+    expected = _pair_vector(_AdView(ads[ids[0]], small_fieldsets[ids[0]]),
+                            _AdView(ads[ids[1]], small_fieldsets[ids[1]]))
+    assert np.array_equal(m[0], expected)
+    assert np.array_equal(direct, expected)
 
 
 def test_empty_matrix():
@@ -212,10 +212,34 @@ def test_empty_matrix():
 
 # --- reference kernels -------------------------------------------------------------
 #
-# The per-pair feature vector and the batched rolling-row LCS DP that
-# PairFeaturizer.matrix used before its columnar, suffix-automaton form. They
-# are kept here, unchanged, as the oracles the columns and the LCS column
-# must equal byte for byte.
+# The per-pair feature vector and the rolling-row LCS DP, per pair and
+# batched, that PairFeaturizer.matrix and longest_common_substring used before
+# their columnar, suffix-automaton form. They are kept here as the oracles the
+# columns and the LCS column must equal byte for byte.
+
+def _codepoints(text: str, limit: int = LCS_MAX_CHARS) -> np.ndarray:
+    clipped = text[:limit]
+    return np.fromiter(map(ord, clipped), dtype=np.int32, count=len(clipped))
+
+
+def _lcs_arrays_numpy(xs: np.ndarray, ys: np.ndarray) -> int:
+    """Rolling-row DP over one pair."""
+    if len(xs) == 0 or len(ys) == 0:
+        return 0
+    if len(xs) < len(ys):
+        xs, ys = ys, xs  # iterate over the shorter string
+    best = 0
+    prev = np.zeros(len(xs) + 1, dtype=np.int32)
+    cur = np.zeros(len(xs) + 1, dtype=np.int32)
+    for ch in ys:
+        np.add(prev[:-1], 1, out=cur[1:])
+        cur[1:] *= xs == ch
+        m = int(cur.max())
+        if m > best:
+            best = m
+        prev, cur = cur, prev
+    return best
+
 
 def _pad_rows(arrays: list[np.ndarray], width: int, fill: int) -> np.ndarray:
     out = np.full((len(arrays), width), fill, dtype=np.int32)
@@ -302,7 +326,7 @@ def _pair_vector(vi: _AdView, vj: _AdView, with_lcs: bool = True) -> np.ndarray:
     out[1] = 1.0 if (vi.city and vi.city == vj.city) else 0.0
     out[2] = min(vi.special, vj.special)
     out[3] = max(vi.special, vj.special)
-    out[4] = _lcs_arrays(vi.codepoints, vj.codepoints) if with_lcs else 0.0
+    out[4] = _lcs_arrays_numpy(vi.codepoints, vj.codepoints) if with_lcs else 0.0
     out[5] = len(vi.tokens | vj.tokens)
     out[6] = jaccard_unigram(vi.tokens, vj.tokens)
     out[7] = abs(vi.posted_at - vj.posted_at)
@@ -373,8 +397,10 @@ def test_matrix_equals_rowwise_features(small_corpus, small_fieldsets):
     pairs += [(j, i) for i, j in pairs[:150]]  # both orientations of one pair
     lengths = {len(ads[i].text) for pair in pairs for i in pair}
     assert len(lengths) > 50
-    expected = np.vstack([fz.features(i, j) for i, j in pairs])
+    views = {i: _AdView(ads[i], small_fieldsets[i]) for i in ids}
+    expected = np.vstack([_pair_vector(views[i], views[j]) for i, j in pairs])
     assert np.array_equal(fz.matrix(pairs), expected)
+    assert np.array_equal(np.vstack([fz.features(i, j) for i, j in pairs]), expected)
 
 
 # --- suffix-automaton LCS column -----------------------------------------------------
@@ -495,7 +521,7 @@ def test_automaton_lcs_wide_alphabet_and_wide_state_ids(monkeypatch):
         pairs = [(i, j) for i in range(len(texts)) for j in range(i, len(texts), 3)]
         got = lcs_column(text_featurizer(texts), pairs)
         assert got.tolist() == [dp_lcs(texts[i], texts[j]) for i, j in pairs]
-    assert text_featurizer(wide)._codes.dtype == np.uint16
+    assert text_featurizer(wide)._texts._codes.dtype == np.uint16
     assert tables[-1].dtype == np.int32
 
 
