@@ -9,12 +9,12 @@ blocking only has to surface weak-link candidates.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Ad
 from .extract import tokenize
+from .unionfind import pairs_within
 
 __all__ = ["BlockIndex", "build_blocks", "candidate_pairs", "blocking_recall"]
 
@@ -84,12 +84,7 @@ def build_blocks(ads: list[Ad], rarity_threshold: int = 10,
 
 def candidate_pairs(index: BlockIndex) -> list[tuple[str, str]]:
     """Within-block pairs, globally deduplicated and sorted."""
-    pairs: set[tuple[str, str]] = set()
-    for members in index.blocks.values():
-        ordered = sorted(members)
-        for i, j in itertools.combinations(ordered, 2):
-            pairs.add((i, j))
-    return sorted(pairs)
+    return pairs_within(index.blocks.values())
 
 
 def reduction_ratio(index: BlockIndex, n_candidates: int) -> float:

@@ -38,7 +38,7 @@ from .config import PipelineConfig, config_to_dict, load_config
 from .corpus import Ad, SyntheticSpec, generate_synthetic, load_corpus, write_corpus
 
 STAGE_ORDER = (
-    "synth", "extract", "sample", "features", "train", "block",
+    "synth", "extract", "block", "sample", "features", "train",
     "sweep", "resolve", "clusters", "rules", "eval",
 )
 
@@ -72,27 +72,29 @@ class PrerequisiteError(Exception):
 
 # --- small IO helpers ---------------------------------------------------------
 
-def _atomic_text(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic(path: Path):
+    """A text file handle whose contents replace ``path`` once the block ends."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        yield fh
     os.replace(tmp, path)
 
 
+def _atomic_text(path: Path, text: str) -> None:
+    with _atomic(path) as fh:
+        fh.write(text)
+
+
 def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    _atomic_text(path, "\n".join(lines) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Cells are quoted where they hold a comma, a quote or a newline; floats
+    are written with ``repr``."""
+    with _atomic(path) as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -100,16 +102,14 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]], str | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    comment = None
-    if lines and lines[0].startswith("#"):
-        comment = lines[0][1:].strip()
-        lines = lines[1:]
-    if not lines:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        comment = first[1:].strip() if first.startswith("#") else None
+        if comment is None:
+            fh.seek(0)
+        rows = list(csv.reader(fh))
+    if not rows:
         raise DataError(f"{path.name}: empty")
-    reader = csv.reader(lines)
-    rows = list(reader)
     return rows[0], rows[1:], comment
 
 
@@ -251,19 +251,16 @@ def stage_extract(cfg: PipelineConfig, out: Path) -> dict:
 
 
 def stage_sample(cfg: PipelineConfig, out: Path) -> dict:
+    negative_pool = None
+    if cfg.sampler.negative_source == "candidates":
+        _require(out, "candidates.csv")
+        negative_pool = _read_csv(out / "candidates.csv")[1]
     ads = _load_ads(out)
     fieldsets = _load_fieldsets(out)
     graph, components = surrogate.build_strong_graph(
         {ad.id: fieldsets.get(ad.id, extract.FieldSet()).phones for ad in ads}
     )
     city_map = {ad.id: ad.city for ad in ads} if cfg.sampler.same_city_negatives else None
-    negative_pool = None
-    if cfg.sampler.negative_source == "candidates":
-        index = blocking_mod.build_blocks(
-            ads, rarity_threshold=cfg.blocking.rarity_threshold,
-            max_block_size=cfg.blocking.max_block_size,
-        )
-        negative_pool = blocking_mod.candidate_pairs(index)
     try:
         samples = surrogate.sample_pairs(
             components, graph,
@@ -398,11 +395,13 @@ def stage_train(cfg: PipelineConfig, out: Path) -> dict:
 
 def stage_block(cfg: PipelineConfig, out: Path) -> dict:
     ads = _load_ads(out)
-    index = blocking_mod.build_blocks(
-        ads, rarity_threshold=cfg.blocking.rarity_threshold,
-        max_block_size=cfg.blocking.max_block_size,
-    )
-    cands = blocking_mod.candidate_pairs(index)
+    with _layer("build_blocks_s"):
+        index = blocking_mod.build_blocks(
+            ads, rarity_threshold=cfg.blocking.rarity_threshold,
+            max_block_size=cfg.blocking.max_block_size,
+        )
+    with _layer("pairs_s"):
+        cands = blocking_mod.candidate_pairs(index)
     _write_csv(out / "candidates.csv", ["ad_i", "ad_j"], cands)
     stats = {
         "n_ads": index.n_ads,
@@ -437,7 +436,7 @@ def stage_sweep(cfg: PipelineConfig, out: Path) -> dict:
     graph, _ = surrogate.build_strong_graph(
         {ad.id: fieldsets.get(ad.id, extract.FieldSet()).phones for ad in ads}
     )
-    strong = sorted(graph.strong_pairs())
+    strong = graph.strong_pairs()
     _write_csv(out / "edges.csv", ["ad_i", "ad_j", "kind", "score"], itertools.chain(
         ((i, j, "strong", 1.0) for i, j in strong),
         ((i, j, "weak", s) for i, j, s in scored),
@@ -546,13 +545,14 @@ def stage_clusters(cfg: PipelineConfig, out: Path) -> dict:
             warnings.warn("no ground truth and no labels_path: labels.csv not written")
     if label_rows:
         _write_csv(out / "labels.csv", ["component_id", "label"], label_rows)
+    else:  # an earlier run's labels would not match these clusters
+        (out / "labels.csv").unlink(missing_ok=True)
     n_pos = sum(lbl for _, lbl in label_rows)
     return {"clusters": len(kept), "labeled": len(label_rows), "positive": n_pos,
             "min_size": cfg.cluster.min_size}
 
 
 def _read_cluster_features(out: Path):
-    _require(out, "cluster_features.csv", "labels.csv")
     header, rows, comment = _read_csv(out / "cluster_features.csv")
     if comment != f"schema={clusterfeat.CLUSTER_SCHEMA_VERSION}":
         raise DataError("cluster_features.csv schema mismatch")
@@ -568,15 +568,22 @@ def _read_cluster_features(out: Path):
 
 
 def stage_rules(cfg: PipelineConfig, out: Path) -> dict:
+    _require(out, "cluster_features.csv")
+    if not (out / "labels.csv").exists():  # clusters found no ground truth
+        for name in ("cluster_roc.csv", "cluster_eval.json", "rules.json", "pn.csv"):
+            (out / name).unlink(missing_ok=True)  # eval would report an earlier run's
+        warnings.warn("no labels.csv: no cluster classifier trained, no rules learned")
+        return {"rules": 0}
     ids, X, y = _read_cluster_features(out)
     c = cfg.cluster
     # stratified folds need a positive each; with fewer, use one fold per positive
     n_folds = min(c.n_folds, max(2, int(y.sum())))
     try:
-        result = clusterfeat.train_cluster_classifier(
-            X, y, n_folds=n_folds, n_random_baselines=c.n_random_baselines,
-            seed=cfg.seed, n_trees=c.n_trees, max_depth=c.max_depth, min_leaf=c.min_leaf,
-        )
+        with _layer("classifier_s"):
+            result = clusterfeat.train_cluster_classifier(
+                X, y, n_folds=n_folds, n_random_baselines=c.n_random_baselines,
+                seed=cfg.seed, n_trees=c.n_trees, max_depth=c.max_depth, min_leaf=c.min_leaf,
+            )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     _write_csv(out / "cluster_roc.csv", ["fpr", "tpr", "threshold"],
@@ -591,11 +598,12 @@ def stage_rules(cfg: PipelineConfig, out: Path) -> dict:
         "n_positive": int(y.sum()),
     })
 
-    rules = clusterfeat.learn_rules(
-        X, y, clusterfeat.CLUSTER_FEATURE_NAMES,
-        max_rules=c.max_rules, min_support=c.min_support,
-        beam_width=c.beam_width, n_quantiles=c.n_quantiles,
-    )
+    with _layer("learn_rules_s"):
+        rules = clusterfeat.learn_rules(
+            X, y, clusterfeat.CLUSTER_FEATURE_NAMES,
+            max_rules=c.max_rules, min_support=c.min_support,
+            beam_width=c.beam_width, n_quantiles=c.n_quantiles,
+        )
     _write_json(out / "rules.json", {
         "prior": float(y.mean()),
         "max_rules": c.max_rules,
@@ -655,23 +663,13 @@ def stage_eval(cfg: PipelineConfig, out: Path) -> dict:
 
     have_truth = any(ad.source_id for ad in ads)
     if have_truth:
-        report["pairwise"] = _pairwise_metrics(members, ads_by_id)
-        if (out / "candidates.csv").exists():
+        pairwise = report["pairwise"] = _pairwise_metrics(members, ads_by_id)
+        if pairwise["true_pairs"] and (out / "candidates.csv").exists():
+            # candidates are distinct pairs, so the co-source ones are the truth pairs found
             _, cand_rows, _ = _read_csv(out / "candidates.csv")
-            truth_pairs = set()
-            by_source: dict[str, list[str]] = {}
-            for ad in ads:
-                if ad.source_id:
-                    by_source.setdefault(ad.source_id, []).append(ad.id)
-            for ids in by_source.values():
-                ids.sort()
-                for a in range(len(ids)):
-                    for b in range(a + 1, len(ids)):
-                        truth_pairs.add((ids[a], ids[b]))
-            if truth_pairs:
-                report["blocking_recall"] = blocking_mod.blocking_recall(
-                    [(r[0], r[1]) for r in cand_rows], truth_pairs,
-                )
+            source = {ad.id: ad.source_id for ad in ads}
+            found = sum(1 for i, j in cand_rows if source.get(i) and source.get(i) == source.get(j))
+            report["blocking_recall"] = found / pairwise["true_pairs"]
     else:
         report["warnings"].append("no ground truth: pairwise metrics unavailable")
 
@@ -781,8 +779,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=None, help="intra-stage parallelism")
     common.add_argument("--out", default=None, help="run directory (default from config)")
 
-    for name in ("synth", "extract", "sample", "features", "train", "block",
-                 "sweep", "resolve", "clusters", "rules", "eval", "pipeline"):
+    for name in STAGE_ORDER + ("pipeline",):
         sub.add_parser(name, parents=[common])
     ing = sub.add_parser("ingest", parents=[common])
     ing.add_argument("input", nargs="?", default=None, help="ads JSONL to ingest")

@@ -25,7 +25,7 @@ from .corpus import Ad
 from .extract import FieldSet
 from .pairfeat import PairFeaturizer
 from .matchmodel import predict_proba
-from .unionfind import UnionFind
+from .unionfind import UnionFind, labels
 from . import blocking as _blocking
 from . import surrogate as _surrogate
 
@@ -54,11 +54,7 @@ class ComponentSet:
         return max((len(m) for m in self.members.values()), default=0)
 
     def component_of(self) -> dict[str, str]:
-        out = {}
-        for comp_id, ids in self.members.items():
-            for ad_id in ids:
-                out[ad_id] = comp_id
-        return out
+        return labels(self.members)
 
 
 @dataclass
@@ -113,26 +109,11 @@ def connected_components(strong_edges, weak_edges, threshold: float,
             uf.add(node)
 
     members = uf.groups()
-    comp_of = {}
-    for comp_id, ids in members.items():
-        for ad_id in ids:
-            comp_of[ad_id] = comp_id
-
+    comp_of = labels(members)
     counts: dict[str, list[int]] = {comp_id: [0, 0] for comp_id in members}
-    seen_strong = set()
-    for i, j in strong:
-        key = (i, j) if i < j else (j, i)
-        if key in seen_strong:
-            continue
-        seen_strong.add(key)
-        counts[comp_of[i]][0] += 1
-    seen_weak = set()
-    for i, j in admitted:
-        key = (i, j) if i < j else (j, i)
-        if key in seen_weak:
-            continue
-        seen_weak.add(key)
-        counts[comp_of[i]][1] += 1
+    for kind, edges in enumerate((strong, admitted)):  # each distinct edge once
+        for i, _ in {(i, j) if i < j else (j, i) for i, j in edges}:
+            counts[comp_of[i]][kind] += 1
 
     return ComponentSet(
         members=members,

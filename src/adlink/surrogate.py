@@ -14,7 +14,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .unionfind import UnionFind
+from .unionfind import UnionFind, labels, pairs_within
 
 __all__ = [
     "StrongGraph",
@@ -34,14 +34,9 @@ class StrongGraph:
     phone_to_ads: dict[str, frozenset[str]]
     ad_to_phones: dict[str, frozenset[str]]
 
-    def strong_pairs(self) -> set[tuple[str, str]]:
-        """All unordered ad pairs sharing at least one phone."""
-        pairs: set[tuple[str, str]] = set()
-        for ads in self.phone_to_ads.values():
-            ordered = sorted(ads)
-            for i, j in itertools.combinations(ordered, 2):
-                pairs.add((i, j))
-        return pairs
+    def strong_pairs(self) -> list[tuple[str, str]]:
+        """All ad pairs sharing at least one phone, as ``(smaller, larger)``, sorted."""
+        return pairs_within(self.phone_to_ads.values())
 
 
 @dataclass
@@ -90,16 +85,11 @@ def build_strong_graph(phones_by_ad: dict[str, set[str] | frozenset[str]]) -> tu
             uf.union(ordered[0], other)
 
     members = uf.groups()
-    component_of = {}
-    for comp_id, ids in members.items():
-        for ad_id in ids:
-            component_of[ad_id] = comp_id
-
     graph = StrongGraph(
         phone_to_ads={p: frozenset(a) for p, a in phone_to_ads.items()},
         ad_to_phones=ad_to_phones,
     )
-    return graph, ProxyComponents(component_of=component_of, members=members, n_excluded=n_excluded)
+    return graph, ProxyComponents(component_of=labels(members), members=members, n_excluded=n_excluded)
 
 
 def _eligible_positive(graph: StrongGraph, i: str, j: str) -> bool:

@@ -1,6 +1,9 @@
-"""Disjoint-set forest with path compression and union by size."""
+"""Disjoint-set forest with path compression and union by size, plus two
+views of a partition: the pairs inside its groups and each member's group id."""
 
 from __future__ import annotations
+
+import itertools
 
 
 class UnionFind:
@@ -54,3 +57,17 @@ class UnionFind:
             members.sort()
             out[members[0]] = members
         return out
+
+
+def pairs_within(groups) -> list[tuple]:
+    """Every pair of members sharing a group, as ``(smaller, larger)``,
+    deduplicated across groups and sorted."""
+    pairs: set = set()
+    for members in groups:
+        pairs.update(itertools.combinations(sorted(members), 2))
+    return sorted(pairs)
+
+
+def labels(groups: dict) -> dict:
+    """Invert ``group id -> members`` into ``member -> group id``."""
+    return {x: gid for gid, members in groups.items() for x in members}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -44,7 +45,7 @@ def test_stage_chain_digests_stable(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        for stage in ("synth", "extract", "sample"):
+        for stage in ("synth", "extract", "block", "sample"):
             assert run([stage, "--config", cfg, "--out", str(out)]) == 0
     da, db = artifact_digests(out_a), artifact_digests(out_b)
     assert da == db
@@ -218,7 +219,7 @@ def test_threshold_fallback_recorded_in_metrics(tmp_path):
     # no component can be under a cap of 0.001 * ~105 ads
     cfg = write_config(tmp_path, {"resolve": {"max_largest_fraction": 0.001}})
     out = tmp_path / "run"
-    for stage in ("synth", "extract", "sample", "features", "train", "block"):
+    for stage in ("synth", "extract", "block", "sample", "features", "train"):
         assert run([stage, "--config", cfg, "--out", str(out)]) == 0
     with pytest.warns(UserWarning, match="falling back"):
         assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
@@ -303,7 +304,9 @@ def test_metrics_record_layer_timings(tiny_pipeline):
     assert set(stages["features"]["layers"]) == {"lcs_s", "columns_s"}
     assert set(stages["sweep"]["layers"]) == {
         "score_s", "curve_s", "score_s.lcs_s", "score_s.columns_s", "score_s.predict_s"}
-    for stage in ("features", "train", "sweep"):
+    assert set(stages["block"]["layers"]) == {"build_blocks_s", "pairs_s"}
+    assert set(stages["rules"]["layers"]) == {"classifier_s", "learn_rules_s"}
+    for stage in ("features", "train", "block", "sweep", "rules"):
         layers = stages[stage]["layers"]
         assert all(seconds >= 0.0 for seconds in layers.values())
         top = {name: s for name, s in layers.items() if "." not in name}
@@ -326,3 +329,114 @@ def test_metrics_record_peak_rss_per_stage(tiny_pipeline):
 def test_peak_rss_is_null_without_getrusage(monkeypatch):
     monkeypatch.setitem(sys.modules, "resource", None)  # importing it now fails, as on Windows
     assert cli._peak_rss_mb() is None
+
+
+# --- stage order -----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def staged_run(tmp_path_factory):
+    """The TINY_CONFIG run made one stage command at a time, in STAGE_ORDER;
+    returns its directory and the artifacts each stage asked ``_require`` for."""
+    tmp = tmp_path_factory.mktemp("staged")
+    cfg, out = write_config(tmp), tmp / "run"
+    required: dict[str, set[str]] = {}
+    real_require = cli._require
+    with pytest.MonkeyPatch.context() as mp:
+        for stage in STAGE_ORDER:
+            names = required[stage] = set()
+            mp.setattr(cli, "_require", lambda o, *n, names=names: (names.update(n), real_require(o, *n)))
+            assert run([stage, "--config", cfg, "--out", str(out)]) == 0
+    return out, required
+
+
+def test_every_required_artifact_comes_from_an_earlier_stage(staged_run):
+    _, required = staged_run
+    assert required["sample"] >= {"candidates.csv"}
+    for stage, names in required.items():
+        for name in names:
+            producer = cli._PRODUCED_BY[name].split()[0]
+            assert STAGE_ORDER.index(producer) < STAGE_ORDER.index(stage), (stage, name)
+
+
+def test_stages_one_by_one_match_the_pipeline(staged_run, tiny_pipeline):
+    out, _ = staged_run
+    assert artifact_digests(out) == json.loads((tiny_pipeline / "digests.json").read_text())
+
+
+def test_sample_needs_candidates_from_block(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    for stage in ("synth", "extract"):
+        assert run([stage, "--config", cfg, "--out", str(out)]) == 0
+    assert run(["sample", "--config", cfg, "--out", str(out)]) == 3
+    assert "missing candidates.csv: run the block stage first" in capsys.readouterr().err
+    # uniform negatives do not come from the candidates
+    uniform = write_config(tmp_path, {"sampler": {"negative_source": "uniform"}})
+    assert run(["sample", "--config", uniform, "--out", str(out)]) == 0
+
+
+# --- data the synthetic corpus does not have -------------------------------------------
+
+def _ingest_config(tmp_path, rewrite):
+    """A config that ingests the TINY_CONFIG corpus after ``rewrite(ad)``."""
+    assert run(["synth", "--config", write_config(tmp_path), "--out", str(tmp_path / "synth")]) == 0
+    ads = [rewrite(ad) for ad in load_corpus(tmp_path / "synth" / "ads.jsonl").ads]
+    write_corpus(ads, tmp_path / "in.jsonl")
+    return write_config(tmp_path, {"input": str(tmp_path / "in.jsonl")}), ads
+
+
+@pytest.mark.parametrize("reused_dir", [False, True])
+def test_pipeline_without_ground_truth(tmp_path, reused_dir):
+    cfg, _ = _ingest_config(tmp_path, lambda ad: dataclasses.replace(ad, source_id=None))
+    out = tmp_path / "run"
+    if reused_dir:  # an earlier run with ground truth left labels and rules here
+        (tmp_path / "truth").mkdir()
+        assert run(["pipeline", "--config", write_config(tmp_path / "truth"), "--out", str(out)]) == 0
+        assert (out / "labels.csv").exists() and (out / "rules.json").exists()
+    with pytest.warns(UserWarning, match="no labels.csv"):
+        assert run(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "digests.json").exists()
+    for name in ("labels.csv", "cluster_roc.csv", "cluster_eval.json", "rules.json", "pn.csv"):
+        assert not (out / name).exists(), name
+    report = json.loads((out / "report.json").read_text())
+    assert not {"pairwise", "blocking_recall", "cluster", "rules"} & set(report)
+    rules = json.loads((out / "metrics.json").read_text())["stages"]["rules"]
+    assert rules["counts"] == {"rules": 0}
+    assert any("no labels.csv" in w for w in rules["warnings"])
+
+
+def test_rules_needs_cluster_features(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run(["rules", "--out", str(out)]) == 3
+    assert "missing cluster_features.csv: run the clusters stage first" in capsys.readouterr().err
+
+
+AWKWARD_IDS = ["a,1", 'b"2', "c\n3", 'd,"4"\n,', "plain"]
+
+
+def test_csv_round_trips_awkward_cells(tmp_path):
+    rows = [(i, j, 0.1, 7) for i in AWKWARD_IDS for j in AWKWARD_IDS if i < j]
+    cli._write_csv(tmp_path / "x.csv", ["ad_i", "ad_j", "score", "n"], rows, comment="schema=1")
+    header, read, comment = cli._read_csv(tmp_path / "x.csv")
+    assert header == ["ad_i", "ad_j", "score", "n"] and comment == "schema=1"
+    assert read == [[i, j, "0.1", "7"] for i, j, _, _ in rows]
+    cli._write_csv(tmp_path / "y.csv", ["a", "b"], [("p", 1.5)])
+    assert (tmp_path / "y.csv").read_bytes() == b"a,b\np,1.5\n"  # plain cells stay unquoted
+
+
+def test_pipeline_with_awkward_ids(tmp_path):
+    marks = AWKWARD_IDS[:4]
+    cfg, ads = _ingest_config(
+        tmp_path, lambda ad: dataclasses.replace(ad, id=ad.id + marks[ord(ad.id[-1]) % 4]))
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+    ids = {ad.id for ad in ads}
+    for name in ("pairs.csv", "features.csv", "candidates.csv", "edges.csv"):
+        _, rows, _ = cli._read_csv(out / name)
+        assert rows and all(r[0] in ids and r[1] in ids for r in rows), name
+    members = [m for line in (out / "components.jsonl").read_text().splitlines()
+               for m in json.loads(line)["members"]]
+    assert sorted(members) == sorted(ids)
+    report = json.loads((out / "report.json").read_text())
+    assert report["blocking_recall"] > 0.5
